@@ -6,6 +6,7 @@
 
 #include "common/arena.hpp"
 #include "common/limits.hpp"
+#include "common/rng.hpp"
 #include "net/channel.hpp"
 #include "pbio/decode.hpp"
 #include "pbio/dynrecord.hpp"
@@ -279,8 +280,13 @@ Status run_xmlrpc(std::span<const std::uint8_t> input) {
 // [u16 LE length | frame bytes] sub-frames, each delivered to the
 // receiving MessageSession as one channel message. Mutations therefore
 // reorder, corrupt, and truncate whole frames as well as their interiors.
+//
+// An input that starts with kStreamMarker is instead a raw wire image,
+// u32 length prefixes included (hostile ones too): see run_session_stream.
 constexpr std::size_t kMaxSessionFrames = 32;
 constexpr std::size_t kMaxSessionBytes = 60000;  // stay under socket buffers
+constexpr std::uint8_t kStreamMarker[] = {0xFF, 0xFF, 'W', 'S'};
+constexpr std::size_t kMaxStreamChunk = 4096;
 
 std::vector<std::uint8_t> pack_frames(
     const std::vector<std::vector<std::uint8_t>>& frames) {
@@ -304,28 +310,132 @@ std::vector<std::uint8_t> record_frame(std::uint64_t seq,
   return frame;
 }
 
+// A tag-0x01 announcement frame: [0x01 | serialized format].
+std::vector<std::uint8_t> announce_frame(const pbio::Format& format) {
+  std::vector<std::uint8_t> frame;
+  frame.push_back(0x01);
+  auto meta = pbio::serialize_format(format);
+  frame.insert(frame.end(), meta.begin(), meta.end());
+  return frame;
+}
+
+// A chunked-stream input: the marker, then each frame behind its u32 LE
+// length prefix, exactly as a channel puts it on the wire.
+std::vector<std::uint8_t> wire_stream(
+    const std::vector<std::vector<std::uint8_t>>& frames) {
+  std::vector<std::uint8_t> out(std::begin(kStreamMarker),
+                                std::end(kStreamMarker));
+  for (const auto& frame : frames) {
+    for (int shift = 0; shift < 32; shift += 8)
+      out.push_back(static_cast<std::uint8_t>(frame.size() >> shift));
+    out.insert(out.end(), frame.begin(), frame.end());
+  }
+  return out;
+}
+
+}  // namespace
+
+std::vector<std::vector<std::uint8_t>> session_stream_seeds() {
+  PbioState& state = pbio_state();
+  // A record several times the channel's first read buffer, so seeds
+  // already exercise its growth.
+  std::vector<float> payload(3000, 0.25f);
+  char note[] = "large";
+  FuzzMessage large{11, static_cast<std::int32_t>(payload.size()),
+                    payload.data(), note};
+  auto encoder = pbio::Encoder::make(state.host_format).value();
+  const auto large_record = encoder.encode_to_vector(&large).value();
+  const auto announce = announce_frame(*state.host_format);
+  return {
+      wire_stream({announce, record_frame(1, state.seeds[0]),
+                   record_frame(2, state.seeds[0])}),
+      wire_stream({announce, announce_frame(*state.foreign_format),
+                   record_frame(1, large_record),
+                   record_frame(2, state.seeds[1])}),
+  };
+}
+
+namespace {
+
 std::vector<std::vector<std::uint8_t>> session_seeds() {
   PbioState& state = pbio_state();
-  std::vector<std::uint8_t> announce;
-  announce.push_back(0x01);
-  auto meta = pbio::serialize_format(*state.host_format);
-  announce.insert(announce.end(), meta.begin(), meta.end());
-
-  std::vector<std::uint8_t> foreign_announce;
-  foreign_announce.push_back(0x01);
-  auto foreign_meta = pbio::serialize_format(*state.foreign_format);
-  foreign_announce.insert(foreign_announce.end(), foreign_meta.begin(),
-                          foreign_meta.end());
-
-  return {
+  const auto announce = announce_frame(*state.host_format);
+  const auto foreign_announce = announce_frame(*state.foreign_format);
+  std::vector<std::vector<std::uint8_t>> seeds = {
       pack_frames({announce, record_frame(1, state.seeds[0])}),
       pack_frames({announce, foreign_announce,
                    record_frame(1, state.seeds[1]),
                    record_frame(2, state.seeds[0])}),
   };
+  for (auto& seed : session_stream_seeds()) seeds.push_back(std::move(seed));
+  return seeds;
+}
+
+// One receiver takes every frame it can without waiting. Returns true when
+// it can take no more bytes: end of stream, a dead stream or a poisoned
+// session. The last failure is kept in `last`.
+bool drain_receiver(session::MessageSession& receiver, Status& last) {
+  for (;;) {
+    auto incoming = receiver.receive_view(0);
+    if (incoming.is_ok()) continue;
+    const ErrorCode code = incoming.code();
+    if (code == ErrorCode::kTimeout) return false;  // wants more bytes
+    if (code == ErrorCode::kNotFound) return true;  // clean EOF
+    last = incoming.status();
+    if (code == ErrorCode::kIoError || receiver.poisoned()) return true;
+  }
+}
+
+// Chunked-stream mode: the raw wire image is written unframed, in chunk
+// sizes drawn from a seed hashed from the input, into a plain and then a
+// flow-controlled receiver, each draining what it can between chunks. It
+// drives the channel's read buffer through header splits, compaction,
+// growth and the length-limit check.
+Status run_session_stream(std::span<const std::uint8_t> stream) {
+  stream = stream.first(std::min(stream.size(), kMaxSessionBytes));
+  std::uint64_t seed = 0xcbf29ce484222325ull;  // FNV-1a
+  for (std::uint8_t byte : stream) seed = (seed ^ byte) * 0x100000001b3ull;
+
+  Status last = Status::ok();
+  for (bool flow_control : {false, true}) {
+    pbio::FormatRegistry receiver_registry;
+    auto pipe = net::Channel::pipe();
+    if (!pipe.is_ok()) return pipe.status();
+    net::Channel sender = std::move(pipe.value().first);
+    session::SessionOptions options;
+    options.flow_control = flow_control;
+    session::MessageSession receiver(std::move(pipe.value().second),
+                                     receiver_registry, options);
+    DecodeLimits limits = fuzz_limits();
+    limits.max_malformed_frames = 8;
+    receiver.set_limits(limits);
+
+    Rng chunks(seed);
+    bool stopped = false;
+    for (std::size_t at = 0; at < stream.size() && !stopped;) {
+      const std::size_t most = 1 + chunks.below(kMaxStreamChunk);
+      const std::size_t n =
+          std::min<std::size_t>(1 + chunks.below(most), stream.size() - at);
+      if (!sender.send_raw(stream.subspan(at, n)).is_ok()) break;
+      at += n;
+      stopped = drain_receiver(receiver, last);
+    }
+    // A plain receiver sees the end of the stream; a flow-controlled one
+    // keeps its peer open (see run_session_credit) and stops at the
+    // first would-block.
+    if (!stopped && !flow_control) {
+      sender.close();
+      (void)drain_receiver(receiver, last);
+    }
+  }
+  return last;
 }
 
 Status run_session(std::span<const std::uint8_t> input) {
+  if (input.size() >= sizeof(kStreamMarker) &&
+      std::equal(std::begin(kStreamMarker), std::end(kStreamMarker),
+                 input.begin()))
+    return run_session_stream(input.subspan(sizeof(kStreamMarker)));
   pbio::FormatRegistry receiver_registry;
   auto pipe = net::Channel::pipe();
   if (!pipe.is_ok()) return pipe.status();
@@ -827,6 +937,22 @@ std::vector<CorpusAttack> canonical_attacks() {
     attacks.push_back({"session-malformed-flood.bin",
                        "malformed-frame flood exceeds the session budget",
                        pack_frames(frames)});
+  }
+
+  // 26. A length prefix claiming 1 GiB, in a chunked stream: the plain
+  //     receive path grew its frame buffer to the claimed size before the
+  //     session compared it with its limit, so four hostile bytes cost a
+  //     1 GiB allocation. The channel now checks the prefix against the
+  //     limit before any buffer grows and refuses the frame.
+  {
+    std::vector<std::uint8_t> stream =
+        wire_stream({announce_frame(*state.host_format)});
+    const std::uint8_t hostile[] = {0x00, 0x00, 0x00, 0x40, 0x02, 0x01};
+    stream.insert(stream.end(), std::begin(hostile), std::end(hostile));
+    attacks.push_back({"session-oversized-length-prefix.bin",
+                       "1 GiB length prefix grew a buffer before the limit "
+                       "check",
+                       std::move(stream)});
   }
 
   // 12. Epoch rollback: the driver's preamble establishes epoch 5; a

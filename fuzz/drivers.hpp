@@ -30,6 +30,11 @@ struct Driver {
 std::span<const Driver> all_drivers();
 const Driver* find_driver(std::string_view name);
 
+// The `session` driver's chunked-stream seeds: raw wire images that the
+// driver writes in seeded chunks into a plain and a flow-controlled
+// receiver (a subset of that driver's seeds).
+std::vector<std::vector<std::uint8_t>> session_stream_seeds();
+
 // The canonical hostile corpus: one minimized input per integer-overflow
 // / wrong-accept / resource-bomb class that fuzzing surfaced while the
 // limits layer was built. Each filename's prefix (up to the first '-')

@@ -13,13 +13,23 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <memory>
+#include <optional>
+#include <utility>
 
 #include "common/endian.hpp"
 
 namespace xmit::net {
 namespace {
 
-constexpr std::uint32_t kMaxFrameBytes = 1u << 30;
+constexpr std::size_t kHeaderBytes = 4;
+// First size of a channel's read buffer. It holds several small frames
+// per recv and grows, only on demand, to fit the largest frame seen.
+constexpr std::size_t kInitialReadBytes = 4 * 1024;
+
+std::size_t frame_length(const std::uint8_t* header) {
+  return load_with_order<std::uint32_t>(header, ByteOrder::kLittle);
+}
 
 // Waits for the socket to accept bytes, honouring an optional deadline.
 // Returns kTimeout once `deadline_ms` (measured from `start`) is spent.
@@ -45,56 +55,41 @@ Status wait_writable(int fd, int deadline_ms,
   return Status::ok();
 }
 
-// Blocking send loop. With deadline_ms >= 0 the socket is driven
-// nonblockingly and each stall waits in poll(POLLOUT) against the
-// remaining budget, so a peer that stopped reading turns into a bounded
-// kTimeout instead of a wedged sender.
-Status send_all(int fd, const void* data, std::size_t size, int deadline_ms) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  const auto start = std::chrono::steady_clock::now();
-  const int flags =
-      MSG_NOSIGNAL | (deadline_ms >= 0 ? MSG_DONTWAIT : 0);
-  std::size_t sent = 0;
-  while (sent < size) {
-    ssize_t n = ::send(fd, p + sent, size - sent, flags);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && deadline_ms >= 0 &&
-        (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      XMIT_RETURN_IF_ERROR(wait_writable(fd, deadline_ms, start));
-      continue;
-    }
-    if (n <= 0)
-      return make_error(ErrorCode::kIoError,
-                        std::string("channel send failed: ") +
-                            std::strerror(errno));
-    sent += static_cast<std::size_t>(n);
-  }
-  return Status::ok();
-}
+// sendmsg_all deadlines: -1 blocks; kNoWait gives up at the first EAGAIN
+// with kUnavailable.
+constexpr int kNoWait = -2;
 
-// Drains a gather list with sendmsg, advancing past partial writes. The
-// iovec array is caller-owned scratch and is consumed destructively.
+// Drains a gather list with sendmsg, advancing past partial writes and
+// adding every byte written to `*progress` (if given). The iovec array is
+// caller-owned scratch and is consumed destructively. deadline_ms >= 0
+// drives the socket nonblockingly and waits out each stall in
+// poll(POLLOUT) against the remaining budget, so a peer that stopped
+// reading turns into a bounded kTimeout instead of a wedged sender.
 Status sendmsg_all(int fd, struct iovec* iov, std::size_t count,
-                   int deadline_ms) {
-  const auto start = std::chrono::steady_clock::now();
-  const int flags =
-      MSG_NOSIGNAL | (deadline_ms >= 0 ? MSG_DONTWAIT : 0);
+                   int deadline_ms, std::size_t* progress = nullptr) {
+  std::optional<std::chrono::steady_clock::time_point> start;
+  const int flags = MSG_NOSIGNAL | (deadline_ms == -1 ? 0 : MSG_DONTWAIT);
   while (count > 0) {
     struct msghdr msg{};
     msg.msg_iov = iov;
     msg.msg_iovlen = count;
     ssize_t n = ::sendmsg(fd, &msg, flags);
     if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && deadline_ms >= 0 &&
-        (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      XMIT_RETURN_IF_ERROR(wait_writable(fd, deadline_ms, start));
-      continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      if (deadline_ms == kNoWait)
+        return Status(ErrorCode::kUnavailable, "would block");  // no heap
+      if (deadline_ms >= 0) {
+        if (!start) start = std::chrono::steady_clock::now();
+        XMIT_RETURN_IF_ERROR(wait_writable(fd, deadline_ms, *start));
+        continue;
+      }
     }
     if (n <= 0)
       return make_error(ErrorCode::kIoError,
                         std::string("channel send failed: ") +
                             std::strerror(errno));
     auto left = static_cast<std::size_t>(n);
+    if (progress != nullptr) *progress += left;
     while (count > 0 && left >= iov[0].iov_len) {
       left -= iov[0].iov_len;
       ++iov;
@@ -108,55 +103,33 @@ Status sendmsg_all(int fd, struct iovec* iov, std::size_t count,
   return Status::ok();
 }
 
-// Reads exactly `size` bytes or reports why it could not.
-Status recv_exact(int fd, void* data, std::size_t size, int timeout_ms,
-                  bool& clean_eof) {
-  auto* p = static_cast<std::uint8_t*>(data);
-  std::size_t got = 0;
-  clean_eof = false;
-  while (got < size) {
-    struct pollfd pfd = {fd, POLLIN, 0};
-    int ready = ::poll(&pfd, 1, timeout_ms);
-    if (ready == 0)
-      return make_error(ErrorCode::kTimeout, "channel receive timeout");
-    if (ready < 0)
-      return make_error(ErrorCode::kIoError, "channel poll failed");
-    ssize_t n = ::recv(fd, p + got, size - got, 0);
-    if (n == 0) {
-      clean_eof = got == 0;
-      return make_error(clean_eof ? ErrorCode::kNotFound : ErrorCode::kIoError,
-                        clean_eof ? "end of stream" : "peer closed mid-frame");
-    }
-    if (n < 0) return make_error(ErrorCode::kIoError, "channel recv failed");
-    got += static_cast<std::size_t>(n);
-  }
-  return Status::ok();
+Status send_all(int fd, const void* data, std::size_t size, int deadline_ms) {
+  struct iovec iov = {const_cast<void*>(data), size};
+  return sendmsg_all(fd, &iov, 1, deadline_ms);
 }
 
 }  // namespace
 
 Channel::~Channel() { close(); }
 
-Channel::Channel(Channel&& other) noexcept
-    : fd_(other.fd_),
-      sent_(other.sent_),
-      bytes_sent_(other.bytes_sent_),
-      send_deadline_ms_(other.send_deadline_ms_),
-      failure_(other.failure_),
-      failure_budget_(other.failure_budget_) {
-  other.fd_ = -1;
-}
+Channel::Channel(Channel&& other) noexcept { *this = std::move(other); }
 
 Channel& Channel::operator=(Channel&& other) noexcept {
   if (this != &other) {
     close();
-    fd_ = other.fd_;
+    fd_ = std::exchange(other.fd_, -1);
     sent_ = other.sent_;
     bytes_sent_ = other.bytes_sent_;
     send_deadline_ms_ = other.send_deadline_ms_;
     failure_ = other.failure_;
     failure_budget_ = other.failure_budget_;
-    other.fd_ = -1;
+    bytes_received_ = other.bytes_received_;
+    read_budget_ = other.read_budget_;
+    in_ = std::move(other.in_);
+    in_cap_ = std::exchange(other.in_cap_, 0);
+    in_begin_ = std::exchange(other.in_begin_, 0);
+    in_end_ = std::exchange(other.in_end_, 0);
+    in_skip_ = std::exchange(other.in_skip_, 0);
   }
   return *this;
 }
@@ -166,6 +139,9 @@ void Channel::close() {
     ::close(fd_);
     fd_ = -1;
   }
+  // Buffered bytes die with the stream they came from; the storage stays
+  // until the channel is destroyed or replaced.
+  in_begin_ = in_end_ = in_skip_ = 0;
 }
 
 Result<std::pair<Channel, Channel>> Channel::pipe() {
@@ -222,13 +198,18 @@ Result<Channel> Channel::connect(const std::string& host, std::uint16_t port,
   return Channel(fd);
 }
 
+Status Channel::write_iov(struct iovec* iov, std::size_t count) {
+  Status sent = sendmsg_all(fd_, iov, count, send_deadline_ms_);
+  // A blown send deadline leaves a partial frame on the wire: the stream
+  // cannot be re-synchronized, so the transport is dead.
+  if (sent.code() == ErrorCode::kTimeout) close();
+  return sent;
+}
+
 Status Channel::write_bytes(const void* data, std::size_t size) {
   if (failure_ == InjectedFailure::kNone) {
-    Status sent = send_all(fd_, data, size, send_deadline_ms_);
-    // A blown send deadline leaves a partial frame on the wire: the
-    // stream cannot be re-synchronized, so the transport is dead.
-    if (sent.code() == ErrorCode::kTimeout) close();
-    return sent;
+    struct iovec iov = {const_cast<void*>(data), size};
+    return write_iov(&iov, 1);
   }
   if (size < failure_budget_) {
     failure_budget_ -= size;
@@ -253,18 +234,8 @@ Status Channel::write_bytes(const void* data, std::size_t size) {
 }
 
 Status Channel::send(std::span<const std::uint8_t> message) {
-  if (fd_ < 0) return make_error(ErrorCode::kIoError, "channel is closed");
-  if (message.size() > kMaxFrameBytes)
-    return make_error(ErrorCode::kInvalidArgument, "message too large");
-  std::uint8_t frame[4];
-  store_with_order<std::uint32_t>(frame,
-                                  static_cast<std::uint32_t>(message.size()),
-                                  ByteOrder::kLittle);
-  XMIT_RETURN_IF_ERROR(write_bytes(frame, sizeof(frame)));
-  XMIT_RETURN_IF_ERROR(write_bytes(message.data(), message.size()));
-  ++sent_;
-  bytes_sent_ += message.size() + sizeof(frame);
-  return Status::ok();
+  const IoSlice slice{message.data(), message.size()};
+  return send_gather(std::span<const IoSlice>(&slice, 1));
 }
 
 Status Channel::send_gather(std::span<const IoSlice> slices) {
@@ -298,27 +269,17 @@ Status Channel::send_gather(std::span<const IoSlice> slices) {
   // back to additional sendmsg calls rather than a heap allocation.
   constexpr std::size_t kIovBatch = 64;
   struct iovec iov[kIovBatch + 1];
-  std::size_t used = 0;
-  iov[used].iov_base = frame;
-  iov[used].iov_len = sizeof(frame);
-  ++used;
+  iov[0] = {frame, sizeof(frame)};
+  std::size_t used = 1;
   for (const IoSlice& s : slices) {
     if (s.size == 0) continue;
     if (used == kIovBatch + 1) {
-      Status batch = sendmsg_all(fd_, iov, used, send_deadline_ms_);
-      if (batch.code() == ErrorCode::kTimeout) close();
-      XMIT_RETURN_IF_ERROR(batch);
+      XMIT_RETURN_IF_ERROR(write_iov(iov, used));
       used = 0;
     }
-    iov[used].iov_base = const_cast<void*>(s.data);
-    iov[used].iov_len = s.size;
-    ++used;
+    iov[used++] = {const_cast<void*>(s.data), s.size};
   }
-  if (used > 0) {
-    Status batch = sendmsg_all(fd_, iov, used, send_deadline_ms_);
-    if (batch.code() == ErrorCode::kTimeout) close();
-    XMIT_RETURN_IF_ERROR(batch);
-  }
+  if (used > 0) XMIT_RETURN_IF_ERROR(write_iov(iov, used));
   ++sent_;
   bytes_sent_ += static_cast<std::size_t>(total) + sizeof(frame);
   return Status::ok();
@@ -336,31 +297,21 @@ Status Channel::send_some(std::span<const std::uint8_t> message,
     cursor = message.size() + 4;
     return Status::ok();
   }
-  std::uint8_t header[4];
+  std::uint8_t header[kHeaderBytes];
   store_with_order<std::uint32_t>(header,
                                   static_cast<std::uint32_t>(message.size()),
                                   ByteOrder::kLittle);
-  const std::size_t total = message.size() + sizeof(header);
-  while (cursor < total) {
-    const std::uint8_t* p;
-    std::size_t n;
-    if (cursor < sizeof(header)) {
-      p = header + cursor;
-      n = sizeof(header) - cursor;
-    } else {
-      p = message.data() + (cursor - sizeof(header));
-      n = total - cursor;
-    }
-    ssize_t w = ::send(fd_, p, n, MSG_NOSIGNAL | MSG_DONTWAIT);
-    if (w < 0 && errno == EINTR) continue;
-    if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-      return make_error(ErrorCode::kUnavailable, "channel send would block");
-    if (w <= 0)
-      return make_error(ErrorCode::kIoError,
-                        std::string("channel send failed: ") +
-                            std::strerror(errno));
-    cursor += static_cast<std::size_t>(w);
-  }
+  const std::size_t total = message.size() + kHeaderBytes;
+  // Whatever is left of the header and the body, in one sendmsg.
+  struct iovec iov[2];
+  std::size_t count = 0;
+  if (cursor < kHeaderBytes)
+    iov[count++] = {header + cursor, kHeaderBytes - cursor};
+  const std::size_t body = cursor < kHeaderBytes ? 0 : cursor - kHeaderBytes;
+  if (body < message.size())
+    iov[count++] = {const_cast<std::uint8_t*>(message.data()) + body,
+                    message.size() - body};
+  XMIT_RETURN_IF_ERROR(sendmsg_all(fd_, iov, count, kNoWait, &cursor));
   ++sent_;
   bytes_sent_ += total;
   return Status::ok();
@@ -372,28 +323,90 @@ bool Channel::poll_writable(int timeout_ms) {
   return ::poll(&pfd, 1, timeout_ms) > 0;
 }
 
-Status Channel::recv_some(std::vector<std::uint8_t>& buf,
-                          std::size_t max_bytes) {
-  if (fd_ < 0) return make_error(ErrorCode::kIoError, "channel is closed");
-  const std::size_t old = buf.size();
-  buf.resize(old + max_bytes);
-  ssize_t n;
-  do {
-    n = ::recv(fd_, buf.data() + old, max_bytes, MSG_DONTWAIT);
-  } while (n < 0 && errno == EINTR);
-  if (n < 0) {
-    buf.resize(old);
-    if (errno == EAGAIN || errno == EWOULDBLOCK)
-      return make_error(ErrorCode::kUnavailable, "nothing to receive yet");
-    return make_error(ErrorCode::kIoError, "channel recv failed");
+bool Channel::next_frame(std::vector<std::uint8_t>& out, Status& error,
+                         std::size_t max_frame_bytes) {
+  if (fd_ < 0) {
+    error = make_error(ErrorCode::kIoError, "channel is closed");
+    return false;
   }
-  buf.resize(old + static_cast<std::size_t>(n));
-  if (n == 0) return make_error(ErrorCode::kNotFound, "end of stream");
-  return Status::ok();
+  max_frame_bytes = std::min(max_frame_bytes, kMaxFrameBytes);
+  for (;;) {
+    const std::size_t dropped = std::min(in_skip_, in_end_ - in_begin_);
+    in_begin_ += dropped;
+    in_skip_ -= dropped;
+    const std::size_t held = in_end_ - in_begin_;
+    std::size_t want = kHeaderBytes;  // bytes the front frame needs in all
+    if (held >= kHeaderBytes) {
+      const std::size_t length = frame_length(in_.get() + in_begin_);
+      if (length > max_frame_bytes) {
+        // Refused before any buffer grows; its body is dropped on arrival.
+        in_begin_ += kHeaderBytes;
+        in_skip_ = length;
+        error = make_error(ErrorCode::kResourceExhausted,
+                           "inbound frame exceeds the size limit");
+        return false;
+      }
+      want = kHeaderBytes + length;
+      if (held >= want) {
+        const std::uint8_t* body = in_.get() + in_begin_ + kHeaderBytes;
+        out.assign(body, body + length);
+        in_begin_ += want;
+        return true;
+      }
+    }
+    // No whole frame buffered: slide the partial one to the front and
+    // read. The buffer grows only when it is full of one frame, and then
+    // at most to that frame's size.
+    if (!in_) {
+      in_ = std::make_unique_for_overwrite<std::uint8_t[]>(kInitialReadBytes);
+      in_cap_ = kInitialReadBytes;
+    }
+    if (in_begin_ > 0) {
+      std::memmove(in_.get(), in_.get() + in_begin_, held);
+      in_begin_ = 0;
+      in_end_ = held;
+    }
+    if (in_end_ == in_cap_) {
+      const std::size_t grown = std::min(in_cap_ * 2, want);
+      auto bigger = std::make_unique_for_overwrite<std::uint8_t[]>(grown);
+      std::memcpy(bigger.get(), in_.get(), in_end_);
+      in_ = std::move(bigger);
+      in_cap_ = grown;
+    }
+    const std::size_t room = std::min(in_cap_ - in_end_, read_budget_);
+    if (room == 0) {
+      error = make_error(ErrorCode::kResourceExhausted,
+                         "channel read budget spent");
+      return false;
+    }
+    ssize_t n;
+    do {
+      n = ::recv(fd_, in_.get() + in_end_, room, MSG_DONTWAIT);
+    } while (n < 0 && errno == EINTR);
+    if (n < 0) {
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return false;
+      error = make_error(ErrorCode::kIoError, "channel recv failed");
+      return false;
+    }
+    if (n == 0) {
+      const bool clean = in_end_ == 0 && in_skip_ == 0;
+      error = make_error(clean ? ErrorCode::kNotFound : ErrorCode::kIoError,
+                         clean ? "end of stream" : "peer closed mid-frame");
+      return false;
+    }
+    in_end_ += static_cast<std::size_t>(n);
+    bytes_received_ += static_cast<std::size_t>(n);
+    read_budget_ -= static_cast<std::size_t>(n);
+  }
 }
 
 bool Channel::poll_readable(int timeout_ms) {
   if (fd_ < 0) return false;
+  const std::size_t skip = std::min(in_skip_, in_end_ - in_begin_);
+  const std::size_t held = in_end_ - in_begin_ - skip;
+  if (held >= kHeaderBytes &&
+      held - kHeaderBytes >= frame_length(in_.get() + in_begin_ + skip))
+    return true;  // a whole frame is already buffered
   struct pollfd pfd = {fd_, POLLIN, 0};
   return ::poll(&pfd, 1, timeout_ms) > 0;
 }
@@ -404,21 +417,31 @@ Result<std::vector<std::uint8_t>> Channel::receive(int timeout_ms) {
   return message;
 }
 
-Status Channel::receive_into(std::vector<std::uint8_t>& out, int timeout_ms) {
+Status Channel::receive_into(std::vector<std::uint8_t>& out, int timeout_ms,
+                             std::size_t max_frame_bytes) {
   out.clear();
-  if (fd_ < 0) return Status(ErrorCode::kIoError, "channel is closed");
-  std::uint8_t frame[4];
-  bool clean_eof = false;
-  XMIT_RETURN_IF_ERROR(recv_exact(fd_, frame, sizeof(frame), timeout_ms,
-                                  clean_eof));
-  std::uint32_t length = load_with_order<std::uint32_t>(frame, ByteOrder::kLittle);
-  if (length > kMaxFrameBytes)
-    return Status(ErrorCode::kParseError, "frame length is implausible");
-  out.resize(length);
-  if (length > 0)
-    XMIT_RETURN_IF_ERROR(
-        recv_exact(fd_, out.data(), length, timeout_ms, clean_eof));
-  return Status::ok();
+  std::optional<std::chrono::steady_clock::time_point> deadline;
+  for (;;) {
+    Status error;
+    if (next_frame(out, error, max_frame_bytes)) return Status::ok();
+    if (!error.is_ok()) return error;
+    // The clock is read only once the socket has run dry.
+    int wait = timeout_ms;
+    if (timeout_ms > 0) {
+      const auto now = std::chrono::steady_clock::now();
+      if (!deadline) deadline = now + std::chrono::milliseconds(timeout_ms);
+      wait = static_cast<int>(std::max<long long>(
+          std::chrono::ceil<std::chrono::milliseconds>(*deadline - now)
+              .count(),
+          0));
+    }
+    struct pollfd pfd = {fd_, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, wait);
+    if (ready == 0)
+      return make_error(ErrorCode::kTimeout, "receive timeout");  // fits SSO
+    if (ready < 0 && errno != EINTR)
+      return make_error(ErrorCode::kIoError, "channel poll failed");
+  }
 }
 
 ChannelListener::~ChannelListener() {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -16,6 +17,8 @@
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
+
+struct iovec;
 
 namespace xmit::net {
 
@@ -32,6 +35,9 @@ enum class InjectedFailure : std::uint8_t {
 
 class Channel {
  public:
+  // Largest frame any channel sends or accepts (1 GiB).
+  static constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 30;
+
   Channel() = default;
   ~Channel();
   Channel(Channel&& other) noexcept;
@@ -79,7 +85,9 @@ class Channel {
   // frame is partially written — the stream cannot be re-synchronized).
   // Negative restores the unbounded default. This is the liveness fix for
   // senders wedged in send_all toward a peer that stopped reading.
-  void set_send_deadline(int deadline_ms) { send_deadline_ms_ = deadline_ms; }
+  void set_send_deadline(int deadline_ms) {
+    send_deadline_ms_ = deadline_ms < 0 ? -1 : deadline_ms;
+  }
   int send_deadline_ms() const { return send_deadline_ms_; }
 
   // Sends one frame whose payload is the concatenation of `slices`
@@ -88,25 +96,33 @@ class Channel {
   // and nothing is heap-allocated, for any slice count.
   Status send_gather(std::span<const IoSlice> slices);
 
+  // The receive calls below cut frames from one owned read buffer, filled
+  // by one nonblocking recv with as many frames as the socket holds, so
+  // they may be mixed freely on one stream. A length prefix over
+  // `max_frame_bytes` fails kResourceExhausted before any buffer grows,
+  // and the refused body is dropped as it arrives: the stream stays framed.
+
   // Blocks up to timeout_ms for the next complete frame. A cleanly closed
   // peer yields kNotFound ("end of stream"), an expired deadline yields
-  // kTimeout, and every other socket failure is kIoError.
+  // kTimeout (a partly received frame stays buffered for the next call),
+  // and every other socket failure is kIoError.
   Result<std::vector<std::uint8_t>> receive(int timeout_ms = 5000);
 
   // receive() into a caller-owned buffer: once `out`'s capacity has grown
   // to the session's largest frame, further receives allocate nothing.
-  Status receive_into(std::vector<std::uint8_t>& out, int timeout_ms = 5000);
+  Status receive_into(std::vector<std::uint8_t>& out, int timeout_ms = 5000,
+                      std::size_t max_frame_bytes = kMaxFrameBytes);
 
-  // Nonblocking raw receive: appends whatever bytes the socket currently
-  // holds (up to max_bytes) to `buf`. Returns kUnavailable when nothing
-  // is waiting (EAGAIN), kNotFound on EOF, kIoError otherwise. Callers
-  // own the re-framing — this is the readiness-model primitive the
-  // flow-controlled session (and the future reactor) drain from, and it
-  // must not be mixed with receive_into on the same stream.
-  Status recv_some(std::vector<std::uint8_t>& buf,
-                   std::size_t max_bytes = 64 * 1024);
+  // Nonblocking receive: copies the next whole frame into `out` and
+  // returns true when one is buffered or one recv completes it. Returns
+  // false when more bytes are needed (`error` untouched, nothing
+  // allocated) or when the stream failed (`error` set as receive_into
+  // would set it).
+  bool next_frame(std::vector<std::uint8_t>& out, Status& error,
+                  std::size_t max_frame_bytes = kMaxFrameBytes);
 
-  // True when a recv of at least one byte (or EOF) would not block.
+  // True when a whole frame is already buffered, or when a recv of at
+  // least one byte (or EOF) would not block within timeout_ms.
   bool poll_readable(int timeout_ms);
 
   void close();
@@ -121,14 +137,35 @@ class Channel {
   }
   InjectedFailure armed_failure() const { return failure_; }
 
+  // Inbound mirror of arm_failure: the channel pulls at most `byte_budget`
+  // more bytes off the socket, after which a receive that needs more bytes
+  // fails with kResourceExhausted. Read-ahead never runs past the budget,
+  // so a reader persona that stops reading stops exactly there.
+  void stall_reads_after(std::size_t byte_budget) {
+    read_budget_ = byte_budget;
+  }
+
+  // Writes `bytes` as they are, with no frame header (routed through the
+  // armed-failure seam like every send). Lets tests and fuzz drivers put
+  // split, truncated or hostile wire images on the stream.
+  Status send_raw(std::span<const std::uint8_t> bytes) {
+    if (fd_ < 0) return make_error(ErrorCode::kIoError, "channel is closed");
+    return write_bytes(bytes.data(), bytes.size());
+  }
+
   std::size_t messages_sent() const { return sent_; }
   std::size_t bytes_sent() const { return bytes_sent_; }
+  // Bytes pulled off the socket so far, frame headers included.
+  std::size_t bytes_received() const { return bytes_received_; }
 
  private:
   explicit Channel(int fd) : fd_(fd) {}
   friend class ChannelListener;
 
-  // send_all that honours an armed failure; all send paths route their
+  // Blocking gather write under the send deadline; a blown deadline
+  // closes the channel.
+  Status write_iov(struct iovec* iov, std::size_t count);
+  // write_iov that honours an armed failure; all send paths route their
   // wire bytes through here so byte budgets are exact.
   Status write_bytes(const void* data, std::size_t size);
 
@@ -138,6 +175,17 @@ class Channel {
   int send_deadline_ms_ = -1;  // <0: block indefinitely (legacy behaviour)
   InjectedFailure failure_ = InjectedFailure::kNone;
   std::size_t failure_budget_ = 0;
+  std::size_t bytes_received_ = 0;
+  std::size_t read_budget_ = static_cast<std::size_t>(-1);
+
+  // Inbound read buffer: raw storage, never value-initialised. Bytes
+  // [in_begin_, in_end_) are received but not yet framed; in_skip_ counts
+  // body bytes of a refused frame still to be discarded as they arrive.
+  std::unique_ptr<std::uint8_t[]> in_;
+  std::size_t in_cap_ = 0;
+  std::size_t in_begin_ = 0;
+  std::size_t in_end_ = 0;
+  std::size_t in_skip_ = 0;
 };
 
 class ChannelListener {

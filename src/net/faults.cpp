@@ -94,12 +94,18 @@ Result<std::size_t> StallingReader::consume_then_stall(
   if (action.kind != FaultKind::kStallReadsAfterBytes)
     return Status(ErrorCode::kInvalidArgument,
                   "StallingReader needs a stall_reads_after action");
+  // The channel never reads past the budget, so the bytes it pulled off
+  // the socket are exactly the bytes this persona consumed.
+  const std::size_t stop_at = channel_.bytes_received() + action.byte_budget;
+  channel_.stall_reads_after(action.byte_budget);
   std::size_t frames = 0;
   std::vector<std::uint8_t> scratch;
-  while (consumed_ < action.byte_budget) {
+  for (;;) {
     Status got = channel_.receive_into(scratch, timeout_ms);
+    consumed_ = channel_.bytes_received();
+    if (consumed_ == stop_at && got.code() == ErrorCode::kResourceExhausted)
+      break;  // budget spent: stop reading
     if (!got.is_ok()) return got;
-    consumed_ += scratch.size() + 4;  // the u32 frame header is wire bytes
     ++frames;
   }
   return frames;  // park: the caller keeps this object (and the fd) alive

@@ -194,20 +194,20 @@ class TruncatingChannel {
 };
 
 // The stalled-reader persona behind FaultKind::kStallReadsAfterBytes: a
-// peer that consumes whole frames until `byte_budget` wire bytes have
-// been read, then wedges — the fd stays open (no EOF, no RST) but the
-// kernel receive buffer fills and the sender's socket stops accepting
-// bytes. This is the overload failure that a blocking send_all cannot
-// survive and that the channel send deadline + session flow control
-// exist to bound.
+// peer that reads exactly `byte_budget` wire bytes, then wedges — the fd
+// stays open (no EOF, no RST) but the kernel receive buffer fills and the
+// sender's socket stops accepting bytes. This is the overload failure
+// that a blocking send_all cannot survive and that the channel send
+// deadline + session flow control exist to bound.
 class StallingReader {
  public:
   // Takes ownership of the peer-facing channel.
   explicit StallingReader(Channel channel) : channel_(std::move(channel)) {}
 
-  // Reads frames until at least `action.byte_budget` wire bytes (headers
-  // included) have been consumed or `timeout_ms` elapses, then parks the
-  // channel open. Returns the number of complete frames drained.
+  // Pulls exactly `action.byte_budget` wire bytes (headers included) off
+  // the socket, then parks the channel open; fails if the next frame does
+  // not arrive within `timeout_ms` first. Returns the number of complete
+  // frames drained.
   Result<std::size_t> consume_then_stall(const FaultAction& action,
                                          int timeout_ms = 5000);
 

@@ -177,6 +177,22 @@ Status MessageSession::send_durable_advert() {
   return channel_.send(std::span<const std::uint8_t>(frame, sizeof(frame)));
 }
 
+Status MessageSession::announce_for_replay(pbio::FormatId id,
+                                           std::uint64_t seq) {
+  if (id == 0 || announced_.contains(id)) return Status::ok();
+  auto format = registry_->by_id(id);
+  if (!format.is_ok()) return Status::ok();
+  ByteBuffer frame;
+  frame.append_byte(kTagFormat);
+  serialize_format(*format.value(), frame);
+  XMIT_RETURN_IF_ERROR(channel_.send(frame.span()));
+  announced_.insert(id);
+  announce_seq_[id] = seq;
+  ++announcements_sent_;
+  metadata_bytes_sent_ += frame.size();
+  return Status::ok();
+}
+
 Status MessageSession::stream_from_log(std::uint64_t from, std::uint64_t to) {
   if (log_ == nullptr || log_->empty() || from > to) return Status::ok();
   // Direct writes: a partial frame mid-wire must complete first.
@@ -188,19 +204,7 @@ Status MessageSession::stream_from_log(std::uint64_t from, std::uint64_t to) {
     auto more = cursor.next(&item);
     if (!more.is_ok()) return more.status();
     if (!more.value() || item.seq > to) return Status::ok();
-    if (item.format_id != 0 && !announced_.contains(item.format_id)) {
-      auto format = registry_->by_id(item.format_id);
-      if (format.is_ok()) {
-        ByteBuffer frame;
-        frame.append_byte(kTagFormat);
-        serialize_format(*format.value(), frame);
-        XMIT_RETURN_IF_ERROR(channel_.send(frame.span()));
-        announced_.insert(item.format_id);
-        announce_seq_[item.format_id] = item.seq;
-        ++announcements_sent_;
-        metadata_bytes_sent_ += frame.size();
-      }
-    }
+    XMIT_RETURN_IF_ERROR(announce_for_replay(item.format_id, item.seq));
     std::uint8_t head[1 + kSeqBytes];
     head[0] = kTagRecord;
     store_with_order<std::uint64_t>(head + 1, item.seq, ByteOrder::kLittle);
@@ -306,9 +310,6 @@ void MessageSession::reset_partial_cursors() {
   spill_cursor_ = 0;
   spill_seq_ = 0;
   spill_frame_.clear();
-  // Half-assembled inbound bytes died with the transport too.
-  inbound_buf_.clear();
-  inbound_pos_ = 0;
 }
 
 Status MessageSession::ready_to_send() {
@@ -530,19 +531,7 @@ Status MessageSession::replay_unacked() {
   for (const ReplayEntry& entry : replay_) {
     if (entry.seq <= peer_acked_seq_) continue;
     XMIT_RETURN_IF_ERROR(notices_before(entry.seq));
-    if (entry.format_id != 0 && !announced_.contains(entry.format_id)) {
-      auto format = registry_->by_id(entry.format_id);
-      if (format.is_ok()) {
-        ByteBuffer frame;
-        frame.append_byte(kTagFormat);
-        serialize_format(*format.value(), frame);
-        XMIT_RETURN_IF_ERROR(channel_.send(frame.span()));
-        announced_.insert(entry.format_id);
-        announce_seq_[entry.format_id] = entry.seq;
-        ++announcements_sent_;
-        metadata_bytes_sent_ += frame.size();
-      }
-    }
+    XMIT_RETURN_IF_ERROR(announce_for_replay(entry.format_id, entry.seq));
     XMIT_RETURN_IF_ERROR(channel_.send(entry.frame));
     ++replayed_records_;
   }
@@ -570,20 +559,27 @@ void MessageSession::maybe_ping() {
   const double now = clock_.elapsed_ms();
   if (now - last_ping_ms_ < options_.heartbeat_interval_ms) return;
   last_ping_ms_ = now;
+  send_ack_frame(kTagPing);
+}
+
+void MessageSession::send_ack_frame(std::uint8_t tag) {
   std::uint8_t frame[1 + kSeqBytes];
-  frame[0] = kTagPing;
+  frame[0] = tag;
   store_with_order<std::uint64_t>(frame + 1, last_seq_received_,
                                   ByteOrder::kLittle);
+  const std::span<const std::uint8_t> bytes(frame, sizeof(frame));
   if (options_.flow_control) {
     // The control queue keeps heartbeats flowing even while a data frame
-    // is parked mid-wire; a full queue drops the ping (a fresher one
-    // always follows next interval).
-    enqueue_control(std::span<const std::uint8_t>(frame, sizeof(frame)),
-                    /*droppable=*/true);
+    // is parked mid-wire; a full queue drops the frame (a fresher one
+    // always follows). A ping doubles as a credit probe: the pong that
+    // answers it comes with a fresh grant.
+    enqueue_control(bytes, /*droppable=*/true);
+    if (tag == kTagPong) maybe_grant(/*force=*/true);
     return;
   }
-  Status sent = channel_.send(std::span<const std::uint8_t>(frame, sizeof(frame)));
-  if (!sent.is_ok() && !channel_.is_open()) note_transport_lost();
+  Status sent = channel_.send(bytes);
+  if (!sent.is_ok() && resumable_ && !channel_.is_open())
+    note_transport_lost();
 }
 
 void MessageSession::buffer_for_replay(std::uint64_t seq,
@@ -780,58 +776,51 @@ Status MessageSession::load_spill_frame(std::uint64_t seq) {
   return Status::ok();
 }
 
-Status MessageSession::extract_inbound_frame(std::vector<std::uint8_t>& out) {
-  const std::size_t avail = inbound_buf_.size() - inbound_pos_;
-  if (avail >= 4) {
-    const std::uint32_t length = load_with_order<std::uint32_t>(
-        inbound_buf_.data() + inbound_pos_, ByteOrder::kLittle);
-    if (length > limits_.max_message_bytes)
-      return Status(ErrorCode::kResourceExhausted,
-                    "inbound frame exceeds the session size limit");
-    if (avail >= 4ull + length) {
-      const std::uint8_t* body = inbound_buf_.data() + inbound_pos_ + 4;
-      out.assign(body, body + length);
-      inbound_pos_ += 4 + length;
-      if (inbound_pos_ == inbound_buf_.size()) {
-        inbound_buf_.clear();
-        inbound_pos_ = 0;
-      } else if (inbound_pos_ >= 64 * 1024) {
-        inbound_buf_.erase(inbound_buf_.begin(),
-                           inbound_buf_.begin() +
-                               static_cast<std::ptrdiff_t>(inbound_pos_));
-        inbound_pos_ = 0;
-      }
-      return Status::ok();
-    }
-  }
-  return Status(ErrorCode::kUnavailable, "frame incomplete");
-}
-
 Status MessageSession::fc_receive_frame(std::vector<std::uint8_t>& out,
                                         int timeout_ms) {
   Stopwatch budget;
   for (;;) {
-    Status framed = extract_inbound_frame(out);
-    if (framed.code() != ErrorCode::kUnavailable) return framed;
-    if (!channel_.is_open())
-      return Status(ErrorCode::kIoError, "channel is closed");
-    Status pulled = channel_.recv_some(inbound_buf_);
-    if (pulled.is_ok()) continue;
-    if (pulled.code() != ErrorCode::kUnavailable) return pulled;
+    Status failed;
+    if (channel_.next_frame(out, failed, limits_.max_message_bytes))
+      return Status::ok();
+    if (!failed.is_ok()) return failed;
     // Idle inbound: keep our own queue moving while we wait.
     pump_send_queue();
     if (!channel_.is_open())
       return Status(ErrorCode::kIoError, "channel is closed");
     const int remaining = timeout_ms - static_cast<int>(budget.elapsed_ms());
-    if (remaining <= 0)
-      return Status(ErrorCode::kTimeout, "session receive timeout");
+    if (remaining <= 0)  // a short message: idle pulls allocate nothing
+      return Status(ErrorCode::kTimeout, "receive timeout");
     channel_.poll_readable(std::min(remaining, 20));
   }
 }
 
 void MessageSession::pump_send_queue() {
   if (!options_.flow_control) return;
-  const auto on_failure = [this](const Status&) { note_transport_lost(); };
+  // True once a frame is wholly on the wire; false when the socket would
+  // block (the frame waits at its cursor) or the transport died.
+  const auto wrote = [this](const Status& sent) {
+    if (sent.is_ok()) return true;
+    if (sent.code() != ErrorCode::kUnavailable) note_transport_lost();
+    return false;
+  };
+  // Writes the data-queue front, then accounts for it and pops it.
+  const auto send_front = [&] {
+    QueuedFrame& front = send_queue_.front();
+    if (!wrote(channel_.send_some(front.frame, front.cursor))) return false;
+    if (front.control) {
+      next_transmit_seq_ = std::max(next_transmit_seq_, front.seq + 1);
+    } else {
+      const std::size_t wire = 4 + front.frame.size();
+      inflight_.emplace_back(front.seq, static_cast<std::uint32_t>(wire));
+      inflight_bytes_ += wire;
+      next_transmit_seq_ = front.seq + 1;
+      --data_queue_records_;
+      data_queue_bytes_ -= front.frame.size();
+    }
+    send_queue_.pop_front();
+    return true;
+  };
   for (;;) {
     if (!channel_.is_open()) return;  // queues wait for resume
     // 1. A spill frame in flight (or freshly loaded) owns the wire.
@@ -839,12 +828,7 @@ void MessageSession::pump_send_queue() {
       if (spill_cursor_ == 0 && inflight_bytes_ > 0 &&
           inflight_bytes_ + 4 + spill_frame_.size() > credit_bytes_window_)
         return;  // byte-starved; one frame rides a quiet wire
-      Status sent = channel_.send_some(spill_frame_, spill_cursor_);
-      if (sent.code() == ErrorCode::kUnavailable) return;
-      if (!sent.is_ok()) {
-        on_failure(sent);
-        return;
-      }
+      if (!wrote(channel_.send_some(spill_frame_, spill_cursor_))) return;
       const std::size_t wire = 4 + spill_frame_.size();
       inflight_.emplace_back(spill_seq_, static_cast<std::uint32_t>(wire));
       inflight_bytes_ += wire;
@@ -857,35 +841,13 @@ void MessageSession::pump_send_queue() {
     // 2. A partially written data-queue front must finish next: any other
     // byte on the wire before its tail corrupts the framing.
     if (!send_queue_.empty() && send_queue_.front().cursor > 0) {
-      QueuedFrame& front = send_queue_.front();
-      Status sent = channel_.send_some(front.frame, front.cursor);
-      if (sent.code() == ErrorCode::kUnavailable) return;
-      if (!sent.is_ok()) {
-        on_failure(sent);
-        return;
-      }
-      if (front.control) {
-        next_transmit_seq_ = std::max(next_transmit_seq_, front.seq + 1);
-      } else {
-        const std::size_t wire = 4 + front.frame.size();
-        inflight_.emplace_back(front.seq, static_cast<std::uint32_t>(wire));
-        inflight_bytes_ += wire;
-        next_transmit_seq_ = front.seq + 1;
-        --data_queue_records_;
-        data_queue_bytes_ -= front.frame.size();
-      }
-      send_queue_.pop_front();
+      if (!send_front()) return;
       continue;
     }
     // 3. Credit-exempt control traffic: grants, heartbeats, announcements.
     if (!control_queue_.empty()) {
       QueuedFrame& front = control_queue_.front();
-      Status sent = channel_.send_some(front.frame, front.cursor);
-      if (sent.code() == ErrorCode::kUnavailable) return;
-      if (!sent.is_ok()) {
-        on_failure(sent);
-        return;
-      }
+      if (!wrote(channel_.send_some(front.frame, front.cursor))) return;
       control_queue_.pop_front();
       continue;
     }
@@ -902,7 +864,7 @@ void MessageSession::pump_send_queue() {
       if (next_transmit_seq_ > credit_seq_limit_) return;
       Status loaded = load_spill_frame(next_transmit_seq_);
       if (!loaded.is_ok()) {
-        if (!channel_.is_open()) on_failure(loaded);
+        if (!channel_.is_open()) note_transport_lost();
         return;
       }
       continue;
@@ -919,7 +881,7 @@ void MessageSession::pump_send_queue() {
         if (next_transmit_seq_ > credit_seq_limit_) return;
         Status loaded = load_spill_frame(next_transmit_seq_);
         if (!loaded.is_ok()) {
-          if (!channel_.is_open()) on_failure(loaded);
+          if (!channel_.is_open()) note_transport_lost();
           return;
         }
         continue;
@@ -932,23 +894,7 @@ void MessageSession::pump_send_queue() {
           inflight_bytes_ + 4 + front.frame.size() > credit_bytes_window_)
         return;
     }
-    Status sent = channel_.send_some(front.frame, front.cursor);
-    if (sent.code() == ErrorCode::kUnavailable) return;
-    if (!sent.is_ok()) {
-      on_failure(sent);
-      return;
-    }
-    if (front.control) {
-      next_transmit_seq_ = std::max(next_transmit_seq_, front.seq + 1);
-    } else {
-      const std::size_t wire = 4 + front.frame.size();
-      inflight_.emplace_back(front.seq, static_cast<std::uint32_t>(wire));
-      inflight_bytes_ += wire;
-      next_transmit_seq_ = front.seq + 1;
-      --data_queue_records_;
-      data_queue_bytes_ -= front.frame.size();
-    }
-    send_queue_.pop_front();
+    if (!send_front()) return;
   }
 }
 
@@ -959,19 +905,17 @@ void MessageSession::poll_control() {
   constexpr std::size_t kPendingFramesCap = 256;
   for (;;) {
     if (pending_frames_.size() >= kPendingFramesCap) return;
-    Status framed = extract_inbound_frame(poll_frame_);
-    if (framed.code() == ErrorCode::kUnavailable) {
-      Status pulled = channel_.recv_some(inbound_buf_);
-      if (pulled.is_ok()) continue;
-      if (pulled.code() == ErrorCode::kUnavailable) return;
+    Status failed;
+    if (!channel_.next_frame(poll_frame_, failed, limits_.max_message_bytes)) {
+      if (failed.is_ok()) return;  // nothing more waiting
+      if (failed.code() == ErrorCode::kResourceExhausted) {
+        (void)note_malformed(failed);  // oversized; the stream stays framed
+        continue;
+      }
       if (resumable_)
         note_transport_lost();
       else
         channel_.close();
-      return;
-    }
-    if (!framed.is_ok()) {
-      (void)note_malformed(framed);
       return;
     }
     last_inbound_ms_ = clock_.elapsed_ms();
@@ -996,15 +940,7 @@ void MessageSession::poll_control() {
           (void)note_malformed(st);
           continue;
         }
-        if (poll_frame_[0] == kTagPing) {
-          std::uint8_t pong[1 + kSeqBytes];
-          pong[0] = kTagPong;
-          store_with_order<std::uint64_t>(pong + 1, last_seq_received_,
-                                          ByteOrder::kLittle);
-          enqueue_control(std::span<const std::uint8_t>(pong, sizeof(pong)),
-                          /*droppable=*/true);
-          maybe_grant(/*force=*/true);
-        }
+        if (poll_frame_[0] == kTagPing) send_ack_frame(kTagPong);
         continue;
       }
       case kTagCredit: {
@@ -1454,7 +1390,8 @@ Result<MessageSession::IncomingView> MessageSession::receive_view(
       }
       Status got = options_.flow_control
                        ? fc_receive_frame(recv_frame_, slice)
-                       : channel_.receive_into(recv_frame_, slice);
+                       : channel_.receive_into(recv_frame_, slice,
+                                               limits_.max_message_bytes);
       if (!got.is_ok()) {
         if (got.code() == ErrorCode::kTimeout) {
           if ((resumable_ || options_.flow_control) &&
@@ -1473,9 +1410,8 @@ Result<MessageSession::IncomingView> MessageSession::receive_view(
           note_transport_lost();
           continue;
         }
-        if (options_.flow_control &&
-            got.code() == ErrorCode::kResourceExhausted)
-          return note_malformed(got);  // oversized inbound frame
+        if (got.code() == ErrorCode::kResourceExhausted)
+          return note_malformed(got);  // length prefix over the size limit
         return got;
       }
       last_inbound_ms_ = clock_.elapsed_ms();
@@ -1483,9 +1419,6 @@ Result<MessageSession::IncomingView> MessageSession::receive_view(
     if (recv_frame_.empty())
       return note_malformed(
           Status(ErrorCode::kParseError, "empty session frame"));
-    if (recv_frame_.size() > limits_.max_message_bytes)
-      return note_malformed(Status(ErrorCode::kResourceExhausted,
-                                   "session frame exceeds size limit"));
     std::span<const std::uint8_t> payload(recv_frame_.data() + 1,
                                           recv_frame_.size() - 1);
     switch (recv_frame_[0]) {
@@ -1580,24 +1513,8 @@ Result<MessageSession::IncomingView> MessageSession::receive_view(
         Status st = absorb_ack(load_with_order<std::uint64_t>(
             payload.data(), ByteOrder::kLittle));
         if (!st.is_ok()) return note_malformed(st);
-        if (recv_frame_[0] == kTagPing && channel_.is_open()) {
-          std::uint8_t pong[1 + kSeqBytes];
-          pong[0] = kTagPong;
-          store_with_order<std::uint64_t>(pong + 1, last_seq_received_,
-                                          ByteOrder::kLittle);
-          if (options_.flow_control) {
-            // Queue-safe pong; and a ping doubles as a credit probe.
-            enqueue_control(
-                std::span<const std::uint8_t>(pong, sizeof(pong)),
-                /*droppable=*/true);
-            maybe_grant(/*force=*/true);
-          } else {
-            Status sent = channel_.send(
-                std::span<const std::uint8_t>(pong, sizeof(pong)));
-            if (!sent.is_ok() && resumable_ && !channel_.is_open())
-              note_transport_lost();
-          }
-        }
+        if (recv_frame_[0] == kTagPing && channel_.is_open())
+          send_ack_frame(kTagPong);
         continue;
       }
       case kTagDurableRange: {

@@ -226,10 +226,13 @@ class MessageSession {
   // Next data record; format announcements, handshakes and ping/pong are
   // consumed transparently. kNotFound = peer closed cleanly (non-resumable
   // only), kTimeout = deadline elapsed, kDataLoss = a sequence gap the
-  // peer's replay buffer could not cover (reported once per gap).
-  // Truncated or corrupted frames (a peer dying mid-record) surface as
-  // clean kParseError/kOutOfRange statuses — the session object stays
-  // usable and counts them in malformed_frames().
+  // peer's replay buffer could not cover (reported once per gap). A
+  // deadline that expires mid-frame keeps the partial frame for the next
+  // call. Truncated or corrupted frames (a peer dying mid-record) surface
+  // as clean kParseError/kOutOfRange statuses, and a length prefix over
+  // limits().max_message_bytes as kResourceExhausted before any buffer
+  // grows — the session object stays usable and counts them in
+  // malformed_frames().
   //
   // Resumable sessions do not surface transport deaths at all: the loop
   // reconnects (active) or waits for attach() (passive) and keeps
@@ -413,6 +416,9 @@ class MessageSession {
   // re-announcing each format whose announcement the peer may have lost.
   Status replay_unacked();
   void maybe_ping();
+  // Sends [tag | last_seq_received_]: a heartbeat ping or the pong that
+  // answers one (queued on the control lane when flow-controlled).
+  void send_ack_frame(std::uint8_t tag);
   // Appends a full wire frame to the replay buffer (resumable only) and
   // evicts from the front to stay within the configured bounds.
   void buffer_for_replay(std::uint64_t seq, pbio::FormatId format_id,
@@ -456,14 +462,10 @@ class MessageSession {
   // Rebuilds the tag-0x02 frame for `seq` from the durable log into
   // spill_frame_ (kSpillToLog streaming).
   Status load_spill_frame(std::uint64_t seq);
-  // Flow-controlled inbound path: frames are re-assembled from a raw
-  // nonblocking byte stream (Channel::recv_some), so the send paths can
-  // drain acks/credit without ever blocking mid-frame. Blocking
-  // receive_into and this assembler must never mix on one transport.
+  // Flow-controlled inbound path: takes frames from the channel's
+  // nonblocking reader (Channel::next_frame) and pumps the send queue
+  // while it waits, so acks and credit keep moving in both directions.
   Status fc_receive_frame(std::vector<std::uint8_t>& out, int timeout_ms);
-  // Pops the next complete frame out of inbound_buf_ if one is ready.
-  // Returns kUnavailable when more bytes are needed.
-  Status extract_inbound_frame(std::vector<std::uint8_t>& out);
   // Drains control then data queues as far as the socket and the peer's
   // credit allow. Nonblocking: a would-block socket parks the frame at
   // its cursor. Starvation is not an error; transport deaths follow the
@@ -526,6 +528,9 @@ class MessageSession {
   // Re-sends logged records in [from, to] as tag-0x02 frames with their
   // original seqs, re-announcing formats the peer may not know.
   Status stream_from_log(std::uint64_t from, std::uint64_t to);
+  // Direct announcement of format `id` (unless already announced) ahead
+  // of the replayed record `seq` that needs it.
+  Status announce_for_replay(pbio::FormatId id, std::uint64_t seq);
 
   net::Channel channel_;
   net::Endpoint endpoint_;  // non-dialable for passive/plain sessions
@@ -608,8 +613,6 @@ class MessageSession {
   // path was draining acks; receive_view consumes these first.
   std::deque<std::vector<std::uint8_t>> pending_frames_;
   std::vector<std::uint8_t> poll_frame_;
-  std::vector<std::uint8_t> inbound_buf_;  // raw bytes awaiting re-framing
-  std::size_t inbound_pos_ = 0;
   std::size_t credit_grants_sent_ = 0;
   std::size_t credit_grants_received_ = 0;
   std::size_t send_queue_depth_peak_ = 0;

@@ -37,6 +37,23 @@ TEST_P(FuzzSmoke, SurvivesMutatedInputs) {
   }
 }
 
+// The session driver's chunked-stream mode on its own: raw wire images,
+// mutated length prefixes included, written in seeded chunk sizes into a
+// plain and a flow-controlled receiver.
+TEST(FuzzSmoke, SessionChunkedStreamSurvivesMutatedInputs) {
+  const Driver* driver = find_driver("session");
+  ASSERT_NE(driver, nullptr);
+  auto corpus = session_stream_seeds();
+  ASSERT_FALSE(corpus.empty());
+  for (const auto& seed : corpus)
+    EXPECT_TRUE(driver->run(seed).is_ok())
+        << "stream seed rejected: " << driver->run(seed).to_string();
+
+  Mutator mutator(kSmokeSeed + 1);
+  for (int i = 0; i < 2 * kSmokeIterations; ++i)
+    (void)driver->run(mutator.next(corpus));
+}
+
 std::vector<const Driver*> driver_pointers() {
   std::vector<const Driver*> out;
   for (const Driver& driver : all_drivers()) out.push_back(&driver);

@@ -2,6 +2,8 @@
 // dispatch, and the framed message channel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <thread>
 
 #include "net/channel.hpp"
@@ -306,6 +308,105 @@ TEST(Endpoint, DefaultEndpointCannotDial) {
   auto dialed = endpoint.dial();
   ASSERT_FALSE(dialed.is_ok());
   EXPECT_EQ(dialed.code(), ErrorCode::kUnsupported);
+}
+
+// Wire image of one frame: [u32 LE length | message].
+std::vector<std::uint8_t> wire_frame(const std::vector<std::uint8_t>& message) {
+  std::vector<std::uint8_t> wire(4 + message.size());
+  const auto n = static_cast<std::uint32_t>(message.size());
+  for (int i = 0; i < 4; ++i) wire[i] = static_cast<std::uint8_t>(n >> (8 * i));
+  std::copy(message.begin(), message.end(), wire.begin() + 4);
+  return wire;
+}
+
+// Regression: a receive whose timeout expired mid-frame used to drop the
+// bytes it had read, and the next receive misread the body as a header.
+TEST(Channel, TimeoutMidFrameKeepsPartialFrame) {
+  auto [a, b] = Channel::pipe().value();
+  const std::vector<std::uint8_t> message = {9, 8, 7, 6, 5, 4, 3, 2};
+  const auto wire = wire_frame(message);
+  for (std::size_t split : {std::size_t{2}, std::size_t{7}}) {
+    SCOPED_TRACE(split);
+    std::span<const std::uint8_t> bytes(wire);
+    ASSERT_TRUE(a.send_raw(bytes.first(split)).is_ok());
+    std::vector<std::uint8_t> out;
+    EXPECT_EQ(b.receive_into(out, 20).code(), ErrorCode::kTimeout);
+    ASSERT_TRUE(a.send_raw(bytes.subspan(split)).is_ok());
+    ASSERT_TRUE(b.receive_into(out, 500).is_ok());
+    EXPECT_EQ(out, message);
+  }
+}
+
+// One read takes every frame the socket holds; the rest are cut from the
+// buffer, and poll_readable reports them without touching the socket.
+TEST(Channel, ReadAheadFramesStayReadable) {
+  auto [a, b] = Channel::pipe().value();
+  for (std::uint8_t i = 0; i < 3; ++i)
+    ASSERT_TRUE(a.send(std::vector<std::uint8_t>(5, i)).is_ok());
+  std::vector<std::uint8_t> out;
+  Status error;
+  ASSERT_TRUE(b.next_frame(out, error));
+  EXPECT_EQ(b.bytes_received(), 27u);  // all three frames in one recv
+  for (std::uint8_t i = 1; i < 3; ++i) {
+    EXPECT_TRUE(b.poll_readable(0));
+    ASSERT_TRUE(b.next_frame(out, error));
+    EXPECT_EQ(out, std::vector<std::uint8_t>(5, i));
+  }
+  EXPECT_FALSE(b.poll_readable(0));
+  EXPECT_FALSE(b.next_frame(out, error));
+  EXPECT_TRUE(error.is_ok()) << "would-block is not an error";
+}
+
+// The length prefix is checked before any buffer grows: the hostile frame
+// is refused, its body dropped as it arrives, and framing survives.
+TEST(Channel, OversizedLengthPrefixIsRefusedAndSkipped) {
+  auto [a, b] = Channel::pipe().value();
+  const std::vector<std::uint8_t> big(300, 0xEE);
+  const std::vector<std::uint8_t> small = {1, 2, 3};
+  ASSERT_TRUE(a.send(big).is_ok());
+  ASSERT_TRUE(a.send(small).is_ok());
+  std::vector<std::uint8_t> out;
+  EXPECT_EQ(b.receive_into(out, 500, 64).code(),
+            ErrorCode::kResourceExhausted);
+  ASSERT_TRUE(b.receive_into(out, 500, 64).is_ok());
+  EXPECT_EQ(out, small);
+
+  // A 4 GiB claim costs nothing either.
+  const std::uint8_t hostile[] = {0xFF, 0xFF, 0xFF, 0xFF, 0x00};
+  ASSERT_TRUE(a.send_raw(hostile).is_ok());
+  EXPECT_EQ(b.receive_into(out, 500).code(), ErrorCode::kResourceExhausted);
+  EXPECT_EQ(b.receive_into(out, 20).code(), ErrorCode::kTimeout);
+}
+
+// Frames larger than the initial buffer grow it; frames split at every
+// byte boundary reassemble across reads and compaction.
+TEST(Channel, BufferGrowsAndCompactsAcrossSplits) {
+  auto [a, b] = Channel::pipe().value();
+  std::vector<std::uint8_t> stream;
+  std::vector<std::vector<std::uint8_t>> messages;
+  for (std::size_t size : {3u, 40000u, 0u, 17u, 70000u, 5u}) {
+    std::vector<std::uint8_t> m(size);
+    for (std::size_t i = 0; i < size; ++i)
+      m[i] = static_cast<std::uint8_t>(i * 7 + size);
+    const auto wire = wire_frame(m);
+    stream.insert(stream.end(), wire.begin(), wire.end());
+    messages.push_back(std::move(m));
+  }
+  std::thread writer([&] {
+    std::size_t at = 0;
+    for (std::size_t chunk = 1; at < stream.size(); chunk = chunk * 3 % 997 + 1) {
+      const std::size_t n = std::min(chunk, stream.size() - at);
+      if (!a.send_raw(std::span(stream).subspan(at, n)).is_ok()) return;
+      at += n;
+    }
+  });
+  std::vector<std::uint8_t> out;
+  for (const auto& m : messages) {
+    ASSERT_TRUE(b.receive_into(out, 5000).is_ok());
+    EXPECT_EQ(out, m);
+  }
+  writer.join();
+  EXPECT_EQ(b.bytes_received(), stream.size());
 }
 
 TEST(Channel, LargeMessage) {

@@ -338,10 +338,11 @@ TEST(SessionOverload, LivenessDeadlineCoversBlockedSends) {
   // The peer drains the handshake and the first few frames, then wedges
   // with the fd open: no EOF, no RST, just a kernel buffer that fills.
   net::StallingReader stalled(listener.accept(2000).value());
+  Status drained_status = Status::ok();
   std::thread reader([&] {
     auto drained = stalled.consume_then_stall(
         net::FaultAction::stall_reads_after(4096), 2000);
-    (void)drained;
+    drained_status = drained.status();
     // Park until the test is done; destroying the channel would hand the
     // sender a clean EOF instead of a stall.
     std::this_thread::sleep_for(std::chrono::seconds(6));
@@ -369,6 +370,11 @@ TEST(SessionOverload, LivenessDeadlineCoversBlockedSends) {
   EXPECT_LT(watch.elapsed_ms(), 10000.0);
   sender.close();
   reader.join();
+  // The persona stopped reading at its budget exactly, read-ahead and
+  // all: not a frame's worth (nor a read buffer's worth) past it.
+  EXPECT_TRUE(drained_status.is_ok()) << drained_status.to_string();
+  EXPECT_EQ(stalled.bytes_consumed(), 4096u);
+  EXPECT_EQ(stalled.channel().bytes_received(), 4096u);
 }
 
 }  // namespace

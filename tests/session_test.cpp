@@ -325,6 +325,80 @@ TEST(Session, OversizedFrameIsRejected) {
   EXPECT_EQ(failed.code(), ErrorCode::kResourceExhausted);
 }
 
+// Frames a sending session put on the wire, read back off a tap.
+std::vector<std::vector<std::uint8_t>> tap_frames(net::Channel& tap,
+                                                  std::size_t count) {
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::size_t i = 0; i < count; ++i)
+    frames.push_back(tap.receive(500).value());
+  return frames;
+}
+
+std::vector<std::uint8_t> wire_image(const std::vector<std::uint8_t>& frame) {
+  std::vector<std::uint8_t> wire(4 + frame.size());
+  const auto n = static_cast<std::uint32_t>(frame.size());
+  for (int i = 0; i < 4; ++i) wire[i] = static_cast<std::uint8_t>(n >> (8 * i));
+  std::copy(frame.begin(), frame.end(), wire.begin() + 4);
+  return wire;
+}
+
+// Regression: a plain receive_view whose timeout expired mid-frame dropped
+// the partial frame, and the next read failed with "frame length is
+// implausible". The channel now keeps the partial bytes.
+TEST(Session, ReceiveTimeoutMidFrameKeepsFraming) {
+  pbio::FormatRegistry a_registry, b_registry;
+  auto [sender_end, tap] = net::Channel::pipe().value();
+  MessageSession sender(std::move(sender_end), a_registry);
+  auto [raw, receiver_end] = net::Channel::pipe().value();
+  MessageSession receiver(std::move(receiver_end), b_registry);
+
+  auto encoder = pbio::Encoder::make(reading_format(a_registry)).value();
+  std::vector<float> series = {1.5f, 2.5f, 3.5f};
+  char site[] = "midstream";
+  Reading in{77, 3, series.data(), site};
+  ASSERT_TRUE(sender.send(encoder, &in).is_ok());
+  const auto frames = tap_frames(tap, 2);  // announcement, record
+
+  ASSERT_TRUE(raw.send(frames[0]).is_ok());
+  const auto wire = wire_image(frames[1]);
+  const std::span<const std::uint8_t> bytes(wire);
+  ASSERT_TRUE(raw.send_raw(bytes.first(wire.size() / 2)).is_ok());
+  auto early = receiver.receive_view(20);
+  ASSERT_FALSE(early.is_ok());
+  EXPECT_EQ(early.code(), ErrorCode::kTimeout);
+
+  ASSERT_TRUE(raw.send_raw(bytes.subspan(wire.size() / 2)).is_ok());
+  auto view = receiver.receive_view(500);
+  ASSERT_TRUE(view.is_ok()) << view.status().to_string();
+  pbio::Decoder decoder(b_registry);
+  Arena arena;
+  Reading out{};
+  ASSERT_TRUE(decoder
+                  .decode(view.value().bytes, *view.value().sender_format,
+                          &out, arena)
+                  .is_ok());
+  EXPECT_EQ(out.id, 77);
+  EXPECT_EQ(out.series[2], 3.5f);
+  EXPECT_STREQ(out.site, "midstream");
+  EXPECT_EQ(receiver.malformed_frames(), 0u);
+}
+
+// A hostile length prefix is checked against the session's limit before
+// any buffer grows, counted as malformed, and the session keeps working.
+TEST(Session, OversizedLengthPrefixRefusedBeforeAllocation) {
+  pbio::FormatRegistry a_registry, b_registry;
+  auto [raw, receiver_end] = net::Channel::pipe().value();
+  MessageSession receiver(std::move(receiver_end), b_registry);
+
+  const std::uint8_t one_gib[] = {0x00, 0x00, 0x00, 0x40};
+  ASSERT_TRUE(raw.send_raw(one_gib).is_ok());
+  auto refused = receiver.receive_view(200);
+  ASSERT_FALSE(refused.is_ok());
+  EXPECT_EQ(refused.code(), ErrorCode::kResourceExhausted);
+  EXPECT_EQ(receiver.malformed_frames(), 1u);
+  EXPECT_LT(receiver.channel().bytes_received(), 4096u);
+}
+
 TEST(Session, BidirectionalTraffic) {
   pbio::FormatRegistry a_registry, b_registry;
   auto pair = make_session_pipe(a_registry, b_registry).value();

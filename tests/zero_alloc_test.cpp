@@ -133,6 +133,106 @@ TEST(ZeroAlloc, FlatRecordRoundTripAllocatesNothingAfterWarmup) {
       << "steady-state flat round-trip touched the heap";
 }
 
+// Read-ahead: a burst of records lands in the channel's read buffer in one
+// recv and is cut from it frame by frame — still no heap traffic.
+TEST(ZeroAlloc, PlainSessionBurstAllocatesNothingAfterWarmup) {
+  FormatRegistry reg_a;
+  FormatRegistry reg_b;
+  auto pair = make_session_pipe(reg_a, reg_b).value();
+  auto format_a =
+      reg_a.register_format("Flat", flat_fields(), sizeof(Flat)).value();
+  auto receiver =
+      reg_b.register_format("Flat", flat_fields(), sizeof(Flat)).value();
+  auto encoder = Encoder::make(format_a).value();
+  Arena arena;
+  pbio::Decoder decoder(reg_b);
+  Flat record{0, 0.5f, 0, 0};
+
+  auto burst = [&]() -> bool {
+    const std::int32_t first = record.a + 1;
+    for (int i = 0; i < 8; ++i) {
+      record.a += 1;
+      if (!pair.a.send(encoder, &record).is_ok()) return false;
+    }
+    for (std::int32_t want = first; want <= record.a; ++want) {
+      auto incoming = pair.b.receive_view(1000);
+      if (!incoming.is_ok()) return false;
+      Flat out{};
+      arena.rewind();
+      if (!decoder.decode(incoming.value().bytes, *receiver, &out, arena)
+               .is_ok() ||
+          out.a != want)
+        return false;
+    }
+    return true;
+  };
+
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(burst()) << "warmup " << i;
+
+  g_allocations.store(0);
+  g_counting.store(true);
+  bool all_ok = true;
+  for (int i = 0; i < 50; ++i) all_ok = burst() && all_ok;
+  g_counting.store(false);
+
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(g_allocations.load(), 0u) << "steady-state burst touched the heap";
+}
+
+// A flow-controlled session pulls inbound frames on every receive and on
+// every send (acks and credit ride back unannounced). When nothing is
+// waiting, that pull must not touch the heap: no buffer to fill, and no
+// message for the would-block outcome.
+TEST(ZeroAlloc, FlowControlledIdlePullAllocatesNothing) {
+  FormatRegistry reg_a;
+  FormatRegistry reg_b;
+  session::SessionOptions options;
+  options.flow_control = true;
+  auto pair = make_session_pipe(reg_a, reg_b, options).value();
+  auto format_a =
+      reg_a.register_format("Flat", flat_fields(), sizeof(Flat)).value();
+  auto encoder = Encoder::make(format_a).value();
+  Flat record{0, 0.5f, 0, 0};
+
+  // Warm-up: seed credit both ways, announce, move a few records.
+  for (MessageSession* end : {&pair.b, &pair.a})
+    ASSERT_EQ(end->receive_view(0).code(), ErrorCode::kTimeout);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(pair.a.send(encoder, &record).is_ok());
+    ASSERT_TRUE(pair.b.receive_view(1000).is_ok());
+  }
+  (void)pair.a.receive_view(0);  // absorb the grants sent so far
+
+  g_allocations.store(0);
+  g_counting.store(true);
+  bool all_idle = true;
+  for (int i = 0; i < 100; ++i) {
+    all_idle = pair.a.receive_view(0).code() == ErrorCode::kTimeout &&
+               pair.b.receive_view(0).code() == ErrorCode::kTimeout &&
+               all_idle;
+  }
+  g_counting.store(false);
+  EXPECT_TRUE(all_idle);
+  EXPECT_EQ(g_allocations.load(), 0u) << "an idle receive touched the heap";
+
+  // A send copies its record into the send queue (one buffer, plus the
+  // queue's occasional node); the inbound pull it runs first adds nothing.
+  // It used to add two messages per send for "nothing to receive yet".
+  constexpr std::uint64_t kSends = 64;
+  std::uint64_t send_allocs = 0;
+  for (std::uint64_t i = 0; i < kSends; ++i) {
+    record.a += 1;
+    g_allocations.store(0);
+    g_counting.store(true);
+    const bool sent = pair.a.send(encoder, &record).is_ok();
+    g_counting.store(false);
+    send_allocs += g_allocations.load();
+    ASSERT_TRUE(sent);
+    ASSERT_TRUE(pair.b.receive_view(1000).is_ok());
+  }
+  EXPECT_LE(send_allocs, kSends + kSends / 4);
+}
+
 // Var-bearing record: payload slices ship from caller memory, the decode
 // arena is rewound (capacity retained) between records.
 struct WithArray {

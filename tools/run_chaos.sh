@@ -1,7 +1,9 @@
 #!/bin/sh
 # run_chaos.sh: build and run the chaos-labelled tests (the deterministic
 # per-byte kill matrix, TCP kill/RST injection, and the liveness personas)
-# under both AddressSanitizer and ThreadSanitizer.
+# and the transport-labelled tests (the channel's buffered framer: read-
+# ahead, compaction, growth, split frames) under both AddressSanitizer and
+# ThreadSanitizer.
 #
 # Usage:
 #   tools/run_chaos.sh [BUILD_ROOT]
@@ -20,10 +22,13 @@ for SAN in address thread; do
   echo "== chaos [$SAN]: configuring $BUILD_DIR"
   cmake -B "$BUILD_DIR" -S "$REPO_DIR" -DXMIT_SANITIZE="$SAN" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  echo "== chaos [$SAN]: building session_chaos_test"
-  cmake --build "$BUILD_DIR" --target session_chaos_test -j >/dev/null
+  echo "== chaos [$SAN]: building session_chaos_test net_test session_test"
+  cmake --build "$BUILD_DIR" --target session_chaos_test net_test \
+    session_test -j >/dev/null
   echo "== chaos [$SAN]: ctest -L chaos"
   (cd "$BUILD_DIR" && ctest -L chaos --output-on-failure -j)
+  echo "== chaos [$SAN]: ctest -L transport"
+  (cd "$BUILD_DIR" && ctest -L transport --output-on-failure -j)
 done
 
-echo "== chaos matrix green under address and thread sanitizers"
+echo "== chaos matrix and transport tests green under address and thread sanitizers"
