@@ -14,7 +14,7 @@
 #include "net/channel.hpp"
 #include "net/http.hpp"
 #include "pbio/decode.hpp"
-#include "pbio/file.hpp"
+#include "storage/data_file.hpp"
 #include "xmit/xmit.hpp"
 
 namespace {
@@ -121,7 +121,7 @@ int main() {
   auto channel = listener.accept().value();
 
   // --- Stream events, logging each to the PBIO file -------------------
-  auto sink = xmit::pbio::FileSink::create(log_path).value();
+  auto sink = xmit::storage::FileSink::create(log_path).value();
   for (int i = 0; i < 6; ++i) {
     ASDOffEventV2 event{};
     event.centerID = const_cast<char*>(kCenters[i % 3]);
@@ -139,7 +139,8 @@ int main() {
 
   // --- Replay the log with a fresh registry ---------------------------
   xmit::pbio::FormatRegistry replay_registry;
-  auto source = xmit::pbio::FileSource::open(log_path, replay_registry).value();
+  auto source =
+      xmit::storage::FileSource::open(log_path, replay_registry).value();
   xmit::pbio::Decoder replay_decoder(replay_registry);
   xmit::Arena arena;
   int replayed = 0;
@@ -157,7 +158,7 @@ int main() {
       std::printf("replay: first logged event gate=%s (v2 field preserved)\n",
                   event.gate);
   }
-  std::printf("replayed %d events from %s (%zu format block(s))\n", replayed,
+  std::printf("replayed %d events from %s (%zu format frame(s))\n", replayed,
               log_path.c_str(), source.formats_read());
   std::remove(log_path.c_str());
   return 0;

@@ -1,6 +1,6 @@
 #include "hydrology/components.hpp"
 
-#include "pbio/file.hpp"
+#include "storage/data_file.hpp"
 #include "xml/parser.hpp"
 
 #include <algorithm>
@@ -86,7 +86,7 @@ Result<double> write_dataset_file(const std::string& path, int nx, int ny,
   XMIT_ASSIGN_OR_RETURN(auto grid_token, xmit.bind("GridSpec"));
   XMIT_ASSIGN_OR_RETURN(auto data_token, xmit.bind("SimpleData"));
 
-  XMIT_ASSIGN_OR_RETURN(auto sink, pbio::FileSink::create(path));
+  XMIT_ASSIGN_OR_RETURN(auto sink, storage::FileSink::create(path));
   GridSpec grid{nx, ny, 1.0f, 1.0f, 0};
   XMIT_RETURN_IF_ERROR(sink.write(*grid_token.encoder, &grid));
 
@@ -141,11 +141,11 @@ Status DataFileReader::run_synthetic(net::Channel& out) {
 }
 
 Status DataFileReader::run_replay(net::Channel& out) {
-  // The file is self-describing: its format blocks feed this component's
+  // The file is self-describing: its format frames feed this component's
   // own registry, and the raw records go downstream verbatim (they are
   // already in the shared wire format).
   XMIT_ASSIGN_OR_RETURN(auto source,
-                        pbio::FileSource::open(dataset_path_, registry()));
+                        storage::FileSource::open(dataset_path_, registry()));
   for (;;) {
     XMIT_ASSIGN_OR_RETURN(auto record, source.next_record());
     if (!record.has_value()) break;

@@ -34,113 +34,50 @@ Result<FormatPtr> FormatRegistry::register_format(std::string name,
   return adopt(std::move(format));
 }
 
-void FormatRegistry::publish_locked(IdShard& shard) const {
-  auto current = shard.snapshot.load(std::memory_order_relaxed);
-  auto merged = current ? std::make_shared<IdTable>(*current)
-                        : std::make_shared<IdTable>();
-  merged->reserve(merged->size() + shard.delta.size());
-  for (auto& [id, format] : shard.delta) merged->emplace(id, format);
-  shard.delta.clear();
-  shard.snapshot.store(std::move(merged), std::memory_order_release);
-  publishes_.fetch_add(1, std::memory_order_relaxed);
-}
-
 Result<FormatPtr> FormatRegistry::adopt(FormatPtr format) {
   if (!format)
     return Status(ErrorCode::kInvalidArgument, "null format");
-  const FormatId id = format->id();
-  IdShard& shard = id_shards_[shard_of(id)];
   {
+    auto& shard = id_shards_[shard_of(format->id())];
     std::lock_guard<std::mutex> lock(shard.mutex);
     // Same id means same canonical description: idempotent re-register.
-    if (auto snapshot = shard.snapshot.load(std::memory_order_relaxed)) {
-      auto it = snapshot->find(id);
-      if (it != snapshot->end()) return it->second;
-    }
-    if (auto it = shard.delta.find(id); it != shard.delta.end())
-      return it->second;
-    shard.delta.emplace(id, format);
-    shard.count.fetch_add(1, std::memory_order_relaxed);
-    if (shard.delta.size() >= kPublishThreshold) publish_locked(shard);
+    auto [it, inserted] = shard.formats.emplace(format->id(), format);
+    if (!inserted) return it->second;
   }
-  NameShard& names = name_shards_[shard_of_name(format->name())];
-  {
-    std::lock_guard<std::mutex> lock(names.mutex);
-    names.names[format->name()] = format;
-  }
+  auto& names = name_shards_[shard_of_name(format->name())];
+  std::lock_guard<std::mutex> lock(names.mutex);
+  names.formats[format->name()] = format;
   return format;
 }
 
 Result<FormatPtr> FormatRegistry::by_id(FormatId id) const {
-  const IdShard& shard = id_shards_[shard_of(id)];
-  // Fast path: the published snapshot, no lock. Steady-state decodes —
-  // everything registered more than kPublishThreshold inserts ago — are
-  // served here whatever the writers are doing.
-  if (auto snapshot = shard.snapshot.load(std::memory_order_acquire)) {
-    auto it = snapshot->find(id);
-    if (it != snapshot->end()) {
-      snapshot_hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  // Slow path: formats registered in the last instant sit in the delta.
-  // Under the writer lock the snapshot is stable, so re-checking it here
-  // closes the race where a publish moved the id from delta to a fresh
-  // snapshot between our lock-free load and this lock.
+  const auto& shard = id_shards_[shard_of(id)];
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    if (auto it = shard.delta.find(id); it != shard.delta.end()) {
-      delta_hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-    if (auto current = shard.snapshot.load(std::memory_order_relaxed)) {
-      if (auto it = current->find(id); it != current->end()) {
-        delta_hits_.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
-      }
-    }
+    auto it = shard.formats.find(id);
+    if (it != shard.formats.end()) return it->second;
   }
   return Status(ErrorCode::kNotFound,
                 "no format with id " + std::to_string(id));
 }
 
 Result<FormatPtr> FormatRegistry::by_name(std::string_view name) const {
-  const NameShard& shard = name_shards_[shard_of_name(name)];
+  const auto& shard = name_shards_[shard_of_name(name)];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.names.find(std::string(name));
-  if (it == shard.names.end())
+  auto it = shard.formats.find(std::string(name));
+  if (it == shard.formats.end())
     return Status(ErrorCode::kNotFound,
                   "no format named '" + std::string(name) + "'");
   return it->second;
 }
 
-std::size_t FormatRegistry::size() const {
-  std::size_t total = 0;
-  for (const IdShard& shard : id_shards_)
-    total += shard.count.load(std::memory_order_relaxed);
-  return total;
-}
+std::size_t FormatRegistry::size() const { return stats().formats; }
 
 std::vector<FormatPtr> FormatRegistry::all() const {
   std::vector<FormatPtr> out;
-  out.reserve(size());
-  for (const IdShard& shard : id_shards_) {
-    // Snapshot and delta must be read under the shard's writer lock so a
-    // concurrent publish cannot move entries between them mid-read
-    // (dropping or duplicating formats). The lock is held only for the
-    // copy and never blocks the lock-free snapshot readers a live decode
-    // uses — only a registration into this shard waits.
-    std::shared_ptr<const IdTable> snapshot;
-    std::vector<FormatPtr> delta;
-    {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      snapshot = shard.snapshot.load(std::memory_order_relaxed);
-      delta.reserve(shard.delta.size());
-      for (const auto& [id, format] : shard.delta) delta.push_back(format);
-    }
-    if (snapshot)
-      for (const auto& [id, format] : *snapshot) out.push_back(format);
-    for (auto& format : delta) out.push_back(std::move(format));
+  for (const auto& shard : id_shards_) {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    for (const auto& [id, format] : shard.formats) out.push_back(format);
   }
   return out;
 }
@@ -148,12 +85,10 @@ std::vector<FormatPtr> FormatRegistry::all() const {
 FormatRegistry::Stats FormatRegistry::stats() const {
   Stats out;
   for (std::size_t i = 0; i < kShardCount; ++i) {
-    out.shard_sizes[i] = id_shards_[i].count.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(id_shards_[i].mutex);
+    out.shard_sizes[i] = id_shards_[i].formats.size();
     out.formats += out.shard_sizes[i];
   }
-  out.snapshot_publishes = publishes_.load(std::memory_order_relaxed);
-  out.snapshot_hits = snapshot_hits_.load(std::memory_order_relaxed);
-  out.delta_hits = delta_hits_.load(std::memory_order_relaxed);
   return out;
 }
 

@@ -7,21 +7,16 @@
 // id differs). Thread-safe: registration is rare, lookup is hot.
 //
 // Scale (DESIGN.md §5k): real deployments carry thousands of live
-// formats, registered and looked up concurrently. The table is sharded
-// by FormatId so registration never funnels through one global mutex,
-// and the hot by_id() path is an RCU-style read: each shard publishes an
-// immutable snapshot map through an atomic shared_ptr, so a decode
-// lookup that hits the snapshot takes no lock at all and can never be
-// stalled by a registration storm or a stats scan. Writers append to a
-// small mutex-guarded delta and republish the snapshot every
-// kPublishThreshold inserts, so a lookup falls back to the (briefly
-// locked) delta only for formats registered in the last instant.
-// Formats are never evicted from the registry — bounded-memory pressure
-// is the job of the caches layered above it (plan cache, binding cache).
+// formats, registered and looked up concurrently. Both tables are split
+// into kShardCount shards, each a plain mutex over one hash map, so
+// neither registration nor the per-record by_id() funnels through one
+// global lock, and a lookup touches no state shared with lookups on other
+// shards. Formats are never evicted from the registry — bounded-memory
+// pressure is the job of the caches layered above it (plan cache,
+// binding cache).
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -38,25 +33,12 @@ namespace xmit::pbio {
 
 class FormatRegistry {
  public:
-  // Power of two so shard selection is a mask. 16 shards keeps writer
-  // collisions rare at realistic thread counts while the per-shard
-  // snapshots stay small enough to republish cheaply.
+  // Power of two so shard selection is a mask. 16 shards keeps lock
+  // collisions rare at realistic thread counts.
   static constexpr std::size_t kShardCount = 16;
 
-  // Snapshot republication cadence: a shard merges its delta into a new
-  // immutable snapshot after this many buffered inserts, bounding both
-  // the slow-path (delta) lookup cost and the amortized copy cost of
-  // publication to O(shard_size / kPublishThreshold) per insert.
-  static constexpr std::size_t kPublishThreshold = 32;
-
-  // Occupancy picture assembled entirely from per-shard atomic counters —
-  // never takes a lock, so polling it (xmit_inspect --registry) cannot
-  // stall a decode or a registration.
   struct Stats {
     std::size_t formats = 0;
-    std::size_t snapshot_publishes = 0;   // RCU republications so far
-    std::size_t snapshot_hits = 0;        // by_id served lock-free
-    std::size_t delta_hits = 0;           // by_id served from a delta
     std::array<std::size_t, kShardCount> shard_sizes{};
   };
 
@@ -79,43 +61,22 @@ class FormatRegistry {
   // file header or received from a format server).
   Result<FormatPtr> adopt(FormatPtr format);
 
-  // The hot decode lookup: lock-free when the id is in the shard's
-  // published snapshot (steady state); a format registered within the
-  // last kPublishThreshold inserts is found in the delta under a brief
-  // per-shard lock.
+  // The hot decode lookup: one brief lock on the id's shard.
   Result<FormatPtr> by_id(FormatId id) const;
   Result<FormatPtr> by_name(std::string_view name) const;  // current version
 
-  // Non-blocking: sums per-shard atomic counters.
+  // Each of these locks one shard at a time, never the whole registry.
   std::size_t size() const;
-
-  // Assembles the full format list from the per-shard snapshots plus
-  // deltas. Readers (by_id snapshot hits) are never blocked; each shard's
-  // writer lock is held only long enough to copy its delta.
   std::vector<FormatPtr> all() const;
-
-  // Never takes a lock; safe to poll from a stats thread at any rate.
   Stats stats() const;
 
  private:
-  using IdTable = std::unordered_map<FormatId, FormatPtr>;
-  using NameTable = std::unordered_map<std::string, FormatPtr>;
-
-  struct IdShard {
-    mutable std::mutex mutex;  // serializes writers and delta reads
-    // RCU-published immutable snapshot; readers load without the mutex.
-    std::atomic<std::shared_ptr<const IdTable>> snapshot;
-    IdTable delta XMIT_GUARDED_BY(mutex);
-    std::atomic<std::size_t> count{0};
-  };
-
-  // Names are not on the decode hot path (binding + nested resolution
-  // only) and, unlike ids, get overwritten by evolution ("current"
-  // version), which an immutable snapshot would serve stale. A plain
-  // sharded mutex-guarded table is correct and plenty fast there.
-  struct NameShard {
+  // One cache line per shard so lookups on neighbouring shards do not
+  // contend on the line holding each other's mutex.
+  template <typename Key>
+  struct alignas(64) Shard {
     mutable std::mutex mutex;
-    NameTable names XMIT_GUARDED_BY(mutex);
+    std::unordered_map<Key, FormatPtr> formats XMIT_GUARDED_BY(mutex);
   };
 
   static std::size_t shard_of(FormatId id) {
@@ -123,14 +84,8 @@ class FormatRegistry {
   }
   static std::size_t shard_of_name(std::string_view name);
 
-  // Merges snapshot + delta into a freshly published snapshot.
-  void publish_locked(IdShard& shard) const XMIT_REQUIRES(shard.mutex);
-
-  mutable std::array<IdShard, kShardCount> id_shards_;
-  mutable std::array<NameShard, kShardCount> name_shards_;
-  mutable std::atomic<std::size_t> publishes_{0};
-  mutable std::atomic<std::size_t> snapshot_hits_{0};
-  mutable std::atomic<std::size_t> delta_hits_{0};
+  std::array<Shard<FormatId>, kShardCount> id_shards_;
+  std::array<Shard<std::string>, kShardCount> name_shards_;
 };
 
 }  // namespace xmit::pbio

@@ -74,38 +74,46 @@ void append_frame(ByteBuffer& out, std::uint64_t seq, std::uint64_t format_id,
   append_frame(out, seq, format_id, std::span<const IoSlice>(&slice, 1));
 }
 
+Result<std::size_t> frame_size(std::span<const std::uint8_t> frame,
+                               std::uint64_t offset,
+                               const DecodeLimits& limits) {
+  if (frame.size() < kFrameHeaderBytes)
+    return Status(ErrorCode::kOutOfRange,
+                  "incomplete frame header at offset " +
+                      std::to_string(offset));
+  if (load_u32(frame.data()) != kFrameMagic)
+    return Status(ErrorCode::kMalformedInput,
+                  "bad frame magic at offset " + std::to_string(offset));
+  // Bound the declared length before anything is read past the header
+  // or allocated for it: a length lie must cost a typed refusal.
+  const std::uint32_t payload_len = load_u32(frame.data() + 4);
+  if (payload_len > limits.max_message_bytes)
+    return Status(ErrorCode::kResourceExhausted,
+                  "frame at offset " + std::to_string(offset) + " declares " +
+                      std::to_string(payload_len) +
+                      " payload bytes, over the frame budget");
+  return kFrameHeaderBytes + payload_len;
+}
+
 Result<FrameView> parse_frame(std::span<const std::uint8_t> bytes,
                               std::size_t at, const DecodeLimits& limits) {
   if (at > bytes.size())
     return Status(ErrorCode::kOutOfRange, "frame offset past end of segment");
-  const std::size_t remaining = bytes.size() - at;
-  if (remaining < kFrameHeaderBytes)
-    return Status(ErrorCode::kOutOfRange,
-                  "incomplete frame header at offset " + std::to_string(at));
-  const std::uint8_t* head = bytes.data() + at;
-  if (load_u32(head) != kFrameMagic)
-    return Status(ErrorCode::kMalformedInput,
-                  "bad frame magic at offset " + std::to_string(at));
-  const std::uint32_t payload_len = load_u32(head + 4);
-  FrameView view;
-  view.seq = load_u64(head + 8);
-  view.format_id = load_u64(head + 16);
-  const std::uint32_t stored_crc = load_u32(head + 24);
-  // Bound the declared length before reading a byte past the header:
-  // against the caller's frame budget first (a length lie must cost a
-  // typed refusal, not an allocation), then against the bytes present.
-  if (payload_len > limits.max_message_bytes)
-    return Status(ErrorCode::kResourceExhausted,
-                  "frame at offset " + std::to_string(at) + " declares " +
-                      std::to_string(payload_len) +
-                      " payload bytes, over the frame budget");
-  if (!fits_within(kFrameHeaderBytes, payload_len, remaining)) {
+  XMIT_ASSIGN_OR_RETURN(const std::size_t size,
+                        frame_size(bytes.subspan(at), at, limits));
+  if (size > bytes.size() - at) {
     // The frame header is intact but the payload is cut short — the
     // canonical torn tail. (A liar is indistinguishable from a crash
     // here, and truncation is safe for both.)
     return Status(ErrorCode::kOutOfRange,
                   "frame payload cut short at offset " + std::to_string(at));
   }
+  const std::uint8_t* head = bytes.data() + at;
+  const auto payload_len = static_cast<std::uint32_t>(size - kFrameHeaderBytes);
+  FrameView view;
+  view.seq = load_u64(head + 8);
+  view.format_id = load_u64(head + 16);
+  const std::uint32_t stored_crc = load_u32(head + 24);
   view.payload = std::span<const std::uint8_t>(head + kFrameHeaderBytes,
                                                payload_len);
   const IoSlice slice{view.payload.data(), view.payload.size()};

@@ -34,6 +34,10 @@
 //
 // The catalog file reuses the same Frame shape under a "XMITCAT1"
 // header with seq = 0 and format_id = the described format's id.
+//
+//   data file      := header "XMITDAT1" (base_seq 1) Frame*  (data_file.hpp)
+//   Frames carry seq 1..N in order; format_id 0 marks a serialized
+//   format, any other id a wire record of that format.
 #pragma once
 
 #include <cstdint>
@@ -59,6 +63,7 @@ inline constexpr char kIndexMagic[8] = {'X', 'M', 'I', 'T', 'I', 'D', 'X', '1'};
 inline constexpr char kCatalogMagic[8] = {'X', 'M', 'I', 'T',
                                           'C', 'A', 'T', '1'};
 inline constexpr char kMetaMagic[8] = {'X', 'M', 'I', 'T', 'M', 'E', 'T', '1'};
+inline constexpr char kDataMagic[8] = {'X', 'M', 'I', 'T', 'D', 'A', 'T', '1'};
 
 // Appends a 24-byte segment-style header (any of the magics above).
 void append_file_header(ByteBuffer& out, const char (&magic)[8],
@@ -81,6 +86,16 @@ struct FrameView {
   std::span<const std::uint8_t> payload;
   std::size_t next_offset = 0;  // where the following frame starts
 };
+
+// Checks the fixed header at the front of `frame` — magic, and the
+// declared payload length against the frame budget — and returns the
+// whole frame's size, header included; `offset` only names the frame in
+// errors. A streaming reader calls this on a frame's first
+// kFrameHeaderBytes to size its read before it allocates. Error classes
+// as parse_frame's.
+Result<std::size_t> frame_size(std::span<const std::uint8_t> frame,
+                               std::uint64_t offset,
+                               const DecodeLimits& limits);
 
 // Parses the frame at byte offset `at`. Error classes: kOutOfRange means
 // no complete frame is present (a torn tail); kMalformedInput /

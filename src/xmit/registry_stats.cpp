@@ -39,10 +39,7 @@ void RegistryStatsService::add_cache(std::string name, StatsFn stats_fn) {
 std::string RegistryStatsService::render() const {
   const pbio::FormatRegistry::Stats stats = registry_.stats();
   std::ostringstream out;
-  out << "{\"formats\":" << stats.formats
-      << ",\"snapshot_publishes\":" << stats.snapshot_publishes
-      << ",\"snapshot_hits\":" << stats.snapshot_hits
-      << ",\"delta_hits\":" << stats.delta_hits << ",\"shards\":[";
+  out << "{\"formats\":" << stats.formats << ",\"shards\":[";
   for (std::size_t i = 0; i < stats.shard_sizes.size(); ++i) {
     if (i != 0) out << ",";
     out << stats.shard_sizes[i];

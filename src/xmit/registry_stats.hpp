@@ -2,12 +2,13 @@
 //
 // A deployment holding 10k formats needs to see where they sit and what
 // the bounded caches are doing without stopping the process. The service
-// renders one JSON document — registry occupancy per shard, snapshot/
-// delta hit counters, and the CacheStats of every cache registered with
-// it (decoder plan cache, XMIT binding cache, ...) — and serves it from
-// a dynamic GET endpoint, freshly computed per request. All the sources
-// are internally synchronized (registry stats are atomics, cache stats
-// take the cache's own lock), so a poll never blocks a decode.
+// renders one JSON document — registry occupancy per shard and the
+// CacheStats of every cache registered with it (decoder plan cache, XMIT
+// binding cache, ...) — and serves it from a dynamic GET endpoint,
+// freshly computed per request. All the sources are internally
+// synchronized (registry stats lock one shard at a time, cache stats
+// take the cache's own lock), so a poll holds up a decode for at most
+// one brief shard lock.
 //
 // `xmit_inspect --registry URL` is the matching client.
 #pragma once

@@ -1,16 +1,21 @@
-// PBIO data files: self-describing streams of format + record blocks.
+// PBIO data files: self-describing, CRC-framed streams of format and
+// record frames (storage/data_file.hpp).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "pbio/decode.hpp"
 #include "pbio/encode.hpp"
-#include "pbio/file.hpp"
 #include "net/fetch.hpp"
+#include "storage/data_file.hpp"
 
 namespace xmit::pbio {
 namespace {
+
+using storage::FileSink;
+using storage::FileSource;
 
 struct Reading {
   std::int32_t sensor;
@@ -159,6 +164,63 @@ TEST_F(PbioFile, TruncatedBlockIsDetected) {
   auto source = FileSource::open(path_, reader_registry).value();
   auto record = source.next_record();
   EXPECT_FALSE(record.is_ok());
+}
+
+TEST_F(PbioFile, RecordOverFrameBudgetIsRefused) {
+  FormatRegistry registry;
+  auto format =
+      registry
+          .register_format("Burst",
+                           {{"n", "integer", 4, offsetof(Burst, n)},
+                            {"samples", "float[n]", 4, offsetof(Burst, samples)}},
+                           sizeof(Burst))
+          .value();
+  auto encoder = Encoder::make(format).value();
+  {
+    auto sink = FileSink::create(path_).value();
+    std::vector<float> samples(1024, 1.0f);  // a complete 4 KiB record
+    Burst b{1024, samples.data()};
+    ASSERT_TRUE(sink.write(encoder, &b).is_ok());
+    ASSERT_TRUE(sink.flush().is_ok());
+  }
+
+  FormatRegistry reader_registry;
+  auto source = FileSource::open(path_, reader_registry).value();
+  DecodeLimits limits = DecodeLimits::defaults();
+  limits.max_message_bytes = 1024;
+  source.set_limits(limits);
+  auto record = source.next_record();
+  ASSERT_FALSE(record.is_ok());
+  EXPECT_EQ(record.code(), ErrorCode::kResourceExhausted)
+      << record.status().to_string();
+}
+
+TEST_F(PbioFile, FlippedPayloadByteFailsTheCrc) {
+  FormatRegistry registry;
+  auto format = registry
+                    .register_format("Reading",
+                                     {{"sensor", "integer", 4, offsetof(Reading, sensor)},
+                                      {"value", "float", 8, offsetof(Reading, value)}},
+                                     sizeof(Reading))
+                    .value();
+  auto encoder = Encoder::make(format).value();
+  {
+    auto sink = FileSink::create(path_).value();
+    Reading r{7, 7.5};
+    ASSERT_TRUE(sink.write(encoder, &r).is_ok());
+    ASSERT_TRUE(sink.flush().is_ok());
+  }
+  // The record is the file's last frame; its last byte is payload.
+  auto contents = net::read_file(path_).value();
+  contents.back() ^= 0x01;
+  ASSERT_TRUE(net::write_file(path_, contents).is_ok());
+
+  FormatRegistry reader_registry;
+  auto source = FileSource::open(path_, reader_registry).value();
+  auto record = source.next_record();
+  ASSERT_FALSE(record.is_ok());
+  EXPECT_EQ(record.code(), ErrorCode::kMalformedInput)
+      << record.status().to_string();
 }
 
 }  // namespace

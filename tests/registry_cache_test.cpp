@@ -124,10 +124,6 @@ TEST(FormatRegistry, PopulationSpreadsAcrossShardsAndStaysReachable) {
   EXPECT_EQ(shard_sum, kFormats);
   EXPECT_GT(populated, pbio::FormatRegistry::kShardCount / 2)
       << "id hash is not spreading formats across shards";
-  // 500 inserts crossed the publish threshold many times; steady-state
-  // lookups above were served lock-free from the snapshots.
-  EXPECT_GT(stats.snapshot_publishes, 0u);
-  EXPECT_GT(stats.snapshot_hits, 0u);
 }
 
 TEST(FormatRegistry, EvolutionKeepsOldIdReachable) {

@@ -1,8 +1,7 @@
 // Registry-at-scale stress (DESIGN.md §5k), built to run under TSan:
 // writer threads register a 10k-format corpus while decoder threads go
 // through by_id and decode live records with a tiny plan-cache budget
-// forcing evictions mid-run, and a poller hammers the lock-free stats
-// paths. Afterwards every registration must be reachable (no lost
+// forcing evictions mid-run, and a poller hammers the stats paths. Afterwards every registration must be reachable (no lost
 // inserts), every decode must have succeeded (no use-after-evict — an
 // evicted plan rebuilds transparently), and a pinned plan must have
 // survived the churn.
@@ -119,8 +118,8 @@ TEST(RegistryStress, StormOfWritersReadersAndEvictionLosesNothing) {
     });
   }
 
-  // Poller: the lock-free diagnostics surface, hit concurrently with the
-  // storm — stats(), size(), all() must never block writers or tear.
+  // Poller: the diagnostics surface, hit concurrently with the storm —
+  // stats(), size(), all() must never tear.
   threads.emplace_back([&] {
     while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
     while (!done.load(std::memory_order_acquire)) {
@@ -158,8 +157,6 @@ TEST(RegistryStress, StormOfWritersReadersAndEvictionLosesNothing) {
 
   auto stats = registry.stats();
   EXPECT_EQ(stats.formats, published.size());
-  EXPECT_GT(stats.snapshot_publishes, 0u);
-  EXPECT_GT(stats.snapshot_hits, 0u);
 }
 
 TEST(RegistryStress, PinnedPlanSurvivesEvictionStorm) {

@@ -11,9 +11,9 @@
 
 #include "net/fetch.hpp"
 #include "pbio/encode.hpp"
-#include "pbio/file.hpp"
 #include "pbio/registry.hpp"
 #include "session/session.hpp"
+#include "storage/data_file.hpp"
 #include "storage/log.hpp"
 
 namespace xmit {
@@ -63,7 +63,7 @@ TEST_F(Tools, InspectDumpsPbioFile) {
                              sizeof(Reading))
             .value();
     auto encoder = pbio::Encoder::make(format).value();
-    auto sink = pbio::FileSink::create(path).value();
+    auto sink = storage::FileSink::create(path).value();
     char site[] = "gauge-7";
     Reading r{12, 3.5, site};
     ASSERT_TRUE(sink.write(encoder, &r).is_ok());

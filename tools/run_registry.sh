@@ -11,18 +11,12 @@
 # tree (BUILD_ROOT-address, BUILD_ROOT-thread) so the two
 # instrumentations never share object files. A clean exit means the
 # registry-at-scale matrix is green under both sanitizers — in
-# particular, that the RCU-style lock-free by_id fast path and the
-# eviction-under-decode interleavings are race-free.
+# particular, that the sharded by_id path and the eviction-under-decode
+# interleavings are race-free, with no suppression file.
 set -eu
 
 BUILD_ROOT="${1:-build-registry}"
 REPO_DIR="$(cd "$(dirname "$0")/.." && pwd)"
-
-# tools/tsan.supp silences the documented libstdc++-12 false positive in
-# std::atomic<std::shared_ptr> internals (see the file for the analysis);
-# races in this repo's own code still report.
-TSAN_OPTIONS="suppressions=$REPO_DIR/tools/tsan.supp ${TSAN_OPTIONS:-}"
-export TSAN_OPTIONS
 
 for SAN in address thread; do
   BUILD_DIR="$BUILD_ROOT-$SAN"

@@ -17,7 +17,8 @@
 //   xmit_inspect --connect HOST:PORT [--resume] [--flow-control] [--count N] \
 //       [--timeout-ms N] [--max-depth N] [--max-bytes N] [--max-alloc N]
 // http:// sources are fetched (with retry/backoff per the flags) into a
-// temporary file first, so a flaky archive server doesn't fail the dump.
+// private temporary file first, so a flaky archive server doesn't fail
+// the dump; the file is removed however the dump ends.
 // --max-depth/--max-bytes/--max-alloc bound what decoding the (untrusted)
 // file contents may consume; defaults are DecodeLimits::defaults().
 //
@@ -34,9 +35,9 @@
 // --registry URL fetches the JSON document served by a live process's
 // RegistryStatsService endpoint (src/xmit/registry_stats.hpp) and prints
 // the registry picture an operator wants at 10k formats: per-shard
-// occupancy, lock-free vs delta by_id hit counters, and for every bounded
-// cache its residency, pinned set, hit/miss/eviction/uncacheable counters
-// and budget. --format=json dumps the raw document instead.
+// occupancy, and for every bounded cache its residency, pinned set,
+// hit/miss/eviction/uncacheable counters and budget. --format=json dumps
+// the raw document instead.
 //
 // --log DIR verifies a durable record-log directory offline and without
 // mutating it (unlike opening it, which heals torn tails): per segment it
@@ -52,6 +53,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -64,10 +66,10 @@
 #include "net/fetch.hpp"
 #include "pbio/decode.hpp"
 #include "pbio/dynrecord.hpp"
-#include "pbio/file.hpp"
 #include "pbio/format_wire.hpp"
 #include "pbio/simd.hpp"
 #include "session/session.hpp"
+#include "storage/data_file.hpp"
 #include "storage/framing.hpp"
 #include "storage/io.hpp"
 
@@ -455,11 +457,6 @@ int run_registry(const std::string& url, const net::FetchOptions& options,
     std::fprintf(stderr, "%s: not a registry stats document\n", url.c_str());
     return 1;
   }
-  unsigned long long publishes = 0, snapshot_hits = 0, delta_hits = 0;
-  scan_counter(text, "snapshot_publishes", 0, &publishes);
-  scan_counter(text, "snapshot_hits", 0, &snapshot_hits);
-  scan_counter(text, "delta_hits", 0, &delta_hits);
-
   std::vector<unsigned long long> shards;
   std::size_t at = text.find("\"shards\":[");
   if (at != std::string::npos) {
@@ -483,9 +480,6 @@ int run_registry(const std::string& url, const net::FetchOptions& options,
     }
     std::printf("  (min %llu, max %llu)\n", low, high);
   }
-  std::printf("  by_id: %llu lock-free snapshot hit(s), %llu delta hit(s), "
-              "%llu snapshot publish(es)\n",
-              snapshot_hits, delta_hits, publishes);
 
   std::size_t cursor = text.find("\"caches\":{");
   if (cursor == std::string::npos) return 0;
@@ -538,6 +532,17 @@ bool parse_positive(const char* text, long long* out) {
   *out = value;
   return true;
 }
+
+// Removes the named file (if any) when the scope ends.
+struct UnlinkOnExit {
+  std::string path;
+  UnlinkOnExit() = default;
+  UnlinkOnExit(const UnlinkOnExit&) = delete;
+  UnlinkOnExit& operator=(const UnlinkOnExit&) = delete;
+  ~UnlinkOnExit() {
+    if (!path.empty()) ::unlink(path.c_str());
+  }
+};
 
 }  // namespace
 
@@ -652,14 +657,27 @@ int main(int argc, char** argv) {
   }
 
   std::string local_path = path;
+  UnlinkOnExit temp_file;
   if (local_path.find("://") != std::string::npos) {
     auto body = net::fetch(local_path, fetch_options);
     if (!body.is_ok()) {
       std::fprintf(stderr, "%s: %s\n", path, body.status().to_string().c_str());
       return 1;
     }
-    local_path = "/tmp/xmit_inspect_" + std::to_string(::getpid()) + ".pbio";
-    auto written = net::write_file(local_path, body.value());
+    char temp_path[] = "/tmp/xmit_inspect_XXXXXX";
+    storage::UniqueFd fd(::mkstemp(temp_path));
+    if (!fd.valid()) {
+      std::fprintf(stderr, "cannot create a temporary file: %s\n",
+                   std::strerror(errno));
+      return 1;
+    }
+    local_path = temp_path;
+    temp_file.path = local_path;
+    const std::string& bytes = body.value();
+    auto written = storage::write_all(
+        fd.get(),
+        {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()},
+        nullptr);
     if (!written.is_ok()) {
       std::fprintf(stderr, "%s\n", written.to_string().c_str());
       return 1;
@@ -667,7 +685,7 @@ int main(int argc, char** argv) {
   }
 
   pbio::FormatRegistry registry;
-  auto source = pbio::FileSource::open(local_path, registry);
+  auto source = storage::FileSource::open(local_path, registry);
   if (!source.is_ok()) {
     std::fprintf(stderr, "%s: %s\n", path, source.status().to_string().c_str());
     return 1;
