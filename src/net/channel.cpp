@@ -58,21 +58,26 @@ Status wait_writable(int fd, int deadline_ms,
 // sendmsg_all deadlines: -1 blocks; kNoWait gives up at the first EAGAIN
 // with kUnavailable.
 constexpr int kNoWait = -2;
+// iovecs one sendmsg carries: a credit burst of this many frames leaves in
+// one call, and longer gather lists loop rather than allocate.
+constexpr std::size_t kIovBatch = 128;
 
-// Drains a gather list with sendmsg, advancing past partial writes and
-// adding every byte written to `*progress` (if given). The iovec array is
-// caller-owned scratch and is consumed destructively. deadline_ms >= 0
-// drives the socket nonblockingly and waits out each stall in
-// poll(POLLOUT) against the remaining budget, so a peer that stopped
-// reading turns into a bounded kTimeout instead of a wedged sender.
+// Drains a gather list with sendmsg, advancing past partial writes, adding
+// every byte written to `*progress` (if given) and every call to `calls`.
+// The iovec array is caller-owned scratch and is consumed destructively.
+// deadline_ms >= 0 drives the socket nonblockingly and waits out each
+// stall in poll(POLLOUT) against the remaining budget, so a peer that
+// stopped reading turns into a bounded kTimeout instead of a wedged sender.
 Status sendmsg_all(int fd, struct iovec* iov, std::size_t count,
-                   int deadline_ms, std::size_t* progress = nullptr) {
+                   int deadline_ms, std::size_t* progress,
+                   std::size_t& calls) {
   std::optional<std::chrono::steady_clock::time_point> start;
   const int flags = MSG_NOSIGNAL | (deadline_ms == -1 ? 0 : MSG_DONTWAIT);
   while (count > 0) {
     struct msghdr msg{};
     msg.msg_iov = iov;
     msg.msg_iovlen = count;
+    ++calls;
     ssize_t n = ::sendmsg(fd, &msg, flags);
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
@@ -103,11 +108,6 @@ Status sendmsg_all(int fd, struct iovec* iov, std::size_t count,
   return Status::ok();
 }
 
-Status send_all(int fd, const void* data, std::size_t size, int deadline_ms) {
-  struct iovec iov = {const_cast<void*>(data), size};
-  return sendmsg_all(fd, &iov, 1, deadline_ms);
-}
-
 }  // namespace
 
 Channel::~Channel() { close(); }
@@ -119,6 +119,7 @@ Channel& Channel::operator=(Channel&& other) noexcept {
     close();
     fd_ = std::exchange(other.fd_, -1);
     sent_ = other.sent_;
+    sendmsg_calls_ = other.sendmsg_calls_;
     bytes_sent_ = other.bytes_sent_;
     send_deadline_ms_ = other.send_deadline_ms_;
     failure_ = other.failure_;
@@ -198,39 +199,45 @@ Result<Channel> Channel::connect(const std::string& host, std::uint16_t port,
   return Channel(fd);
 }
 
-Status Channel::write_iov(struct iovec* iov, std::size_t count) {
-  Status sent = sendmsg_all(fd_, iov, count, send_deadline_ms_);
+Status Channel::write_iov(struct iovec* iov, std::size_t count,
+                          int deadline_ms, std::size_t* progress) {
+  if (failure_ != InjectedFailure::kNone) {
+    // Armed writes block (test-only path) so the byte budget is exact.
+    deadline_ms = send_deadline_ms_;
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < count; ++i) total += iov[i].iov_len;
+    if (total < failure_budget_) {
+      failure_budget_ -= total;
+    } else {
+      // Budget exhausted mid-write: emit the prefix the wire would have
+      // seen, then die. For a kill the prefix stays in the kernel buffer
+      // and reaches the peer before EOF; for a reset SO_LINGER{1,0} makes
+      // close() abortive.
+      std::size_t keep = failure_budget_, used = 0;
+      for (; used < count && keep > 0; ++used) {
+        iov[used].iov_len = std::min(iov[used].iov_len, keep);
+        keep -= iov[used].iov_len;
+      }
+      Status prefix = sendmsg_all(fd_, iov, used, deadline_ms, nullptr,
+                                  sendmsg_calls_);
+      (void)prefix;  // the connection is going down either way
+      if (failure_ == InjectedFailure::kResetAfterBytes) {
+        struct linger lg = {1, 0};
+        ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
+      }
+      failure_ = InjectedFailure::kNone;
+      failure_budget_ = 0;
+      close();
+      return make_error(ErrorCode::kIoError,
+                        "injected connection kill/reset mid-stream");
+    }
+  }
+  Status sent =
+      sendmsg_all(fd_, iov, count, deadline_ms, progress, sendmsg_calls_);
   // A blown send deadline leaves a partial frame on the wire: the stream
   // cannot be re-synchronized, so the transport is dead.
   if (sent.code() == ErrorCode::kTimeout) close();
   return sent;
-}
-
-Status Channel::write_bytes(const void* data, std::size_t size) {
-  if (failure_ == InjectedFailure::kNone) {
-    struct iovec iov = {const_cast<void*>(data), size};
-    return write_iov(&iov, 1);
-  }
-  if (size < failure_budget_) {
-    failure_budget_ -= size;
-    return send_all(fd_, data, size, send_deadline_ms_);
-  }
-  // Budget exhausted mid-write: emit the prefix the wire would have seen,
-  // then die. For a kill the prefix stays in the kernel buffer and reaches
-  // the peer before EOF; for a reset SO_LINGER{1,0} makes close() abortive.
-  if (failure_budget_ > 0) {
-    Status prefix = send_all(fd_, data, failure_budget_, send_deadline_ms_);
-    (void)prefix;  // the connection is going down either way
-  }
-  if (failure_ == InjectedFailure::kResetAfterBytes) {
-    struct linger lg = {1, 0};
-    ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
-  }
-  failure_ = InjectedFailure::kNone;
-  failure_budget_ = 0;
-  close();
-  return make_error(ErrorCode::kIoError,
-                    "injected connection kill/reset mid-stream");
 }
 
 Status Channel::send(std::span<const std::uint8_t> message) {
@@ -244,77 +251,68 @@ Status Channel::send_gather(std::span<const IoSlice> slices) {
   for (const IoSlice& s : slices) total += s.size;
   if (total > kMaxFrameBytes)
     return make_error(ErrorCode::kInvalidArgument, "message too large");
-  std::uint8_t frame[4];
+  std::uint8_t frame[kHeaderBytes];
   store_with_order<std::uint32_t>(frame, static_cast<std::uint32_t>(total),
                                   ByteOrder::kLittle);
-
-  if (failure_ != InjectedFailure::kNone) {
-    // Armed channels flatten the gather list so the byte budget is applied
-    // to one contiguous wire image (test-only path; the alloc is fine).
-    std::vector<std::uint8_t> flat;
-    flat.reserve(sizeof(frame) + static_cast<std::size_t>(total));
-    flat.insert(flat.end(), frame, frame + sizeof(frame));
-    for (const IoSlice& s : slices) {
-      const auto* p = static_cast<const std::uint8_t*>(s.data);
-      flat.insert(flat.end(), p, p + s.size);
-    }
-    XMIT_RETURN_IF_ERROR(write_bytes(flat.data(), flat.size()));
-    ++sent_;
-    bytes_sent_ += static_cast<std::size_t>(total) + sizeof(frame);
-    return Status::ok();
-  }
-
   // Batch through a stack iovec array: the frame header rides in the first
   // batch, and records with more out-of-line fields than kIovBatch fall
   // back to additional sendmsg calls rather than a heap allocation.
-  constexpr std::size_t kIovBatch = 64;
-  struct iovec iov[kIovBatch + 1];
+  struct iovec iov[kIovBatch];
   iov[0] = {frame, sizeof(frame)};
   std::size_t used = 1;
   for (const IoSlice& s : slices) {
     if (s.size == 0) continue;
-    if (used == kIovBatch + 1) {
-      XMIT_RETURN_IF_ERROR(write_iov(iov, used));
+    if (used == kIovBatch) {
+      XMIT_RETURN_IF_ERROR(write_iov(iov, used, send_deadline_ms_));
       used = 0;
     }
     iov[used++] = {const_cast<void*>(s.data), s.size};
   }
-  if (used > 0) XMIT_RETURN_IF_ERROR(write_iov(iov, used));
+  if (used > 0) XMIT_RETURN_IF_ERROR(write_iov(iov, used, send_deadline_ms_));
   ++sent_;
   bytes_sent_ += static_cast<std::size_t>(total) + sizeof(frame);
   return Status::ok();
 }
 
-Status Channel::send_some(std::span<const std::uint8_t> message,
-                          std::size_t& cursor) {
+Status Channel::send_frames(std::span<const IoSlice> frames,
+                            std::size_t& cursor) {
   if (fd_ < 0) return make_error(ErrorCode::kIoError, "channel is closed");
-  if (message.size() > kMaxFrameBytes)
-    return make_error(ErrorCode::kInvalidArgument, "message too large");
-  if (failure_ != InjectedFailure::kNone && cursor == 0) {
-    // Armed channels route through the blocking seam so injected byte
-    // budgets stay exact (test-only path).
-    XMIT_RETURN_IF_ERROR(send(message));
-    cursor = message.size() + 4;
-    return Status::ok();
+  const std::size_t start = cursor;
+  // Frames whose last byte went out in this call count as sent.
+  const auto account = [&] {
+    std::size_t end = 0;
+    for (const IoSlice& frame : frames) {
+      end += frame.size;
+      if (end > start && end <= cursor) ++sent_;
+    }
+    bytes_sent_ += cursor - start;
+  };
+  struct iovec iov[kIovBatch];
+  std::size_t next = 0, skip = cursor;
+  while (next < frames.size() && skip >= frames[next].size)
+    skip -= frames[next++].size;
+  while (next < frames.size()) {
+    std::size_t used = 0;
+    for (; next < frames.size() && used < kIovBatch; ++next, skip = 0)
+      iov[used++] = {
+          const_cast<std::uint8_t*>(
+              static_cast<const std::uint8_t*>(frames[next].data)) +
+              skip,
+          frames[next].size - skip};
+    Status sent = write_iov(iov, used, kNoWait, &cursor);
+    if (!sent.is_ok()) {
+      account();
+      return sent;
+    }
   }
-  std::uint8_t header[kHeaderBytes];
-  store_with_order<std::uint32_t>(header,
-                                  static_cast<std::uint32_t>(message.size()),
-                                  ByteOrder::kLittle);
-  const std::size_t total = message.size() + kHeaderBytes;
-  // Whatever is left of the header and the body, in one sendmsg.
-  struct iovec iov[2];
-  std::size_t count = 0;
-  if (cursor < kHeaderBytes)
-    iov[count++] = {header + cursor, kHeaderBytes - cursor};
-  const std::size_t body = cursor < kHeaderBytes ? 0 : cursor - kHeaderBytes;
-  if (body < message.size())
-    iov[count++] = {const_cast<std::uint8_t*>(message.data()) + body,
-                    message.size() - body};
-  XMIT_RETURN_IF_ERROR(sendmsg_all(fd_, iov, count, kNoWait, &cursor));
-  ++sent_;
-  bytes_sent_ += total;
+  account();
   return Status::ok();
+}
+
+Status Channel::send_raw(std::span<const std::uint8_t> bytes) {
+  if (fd_ < 0) return make_error(ErrorCode::kIoError, "channel is closed");
+  struct iovec iov = {const_cast<std::uint8_t*>(bytes.data()), bytes.size()};
+  return write_iov(&iov, 1, send_deadline_ms_);
 }
 
 bool Channel::poll_writable(int timeout_ms) {

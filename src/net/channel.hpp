@@ -66,15 +66,17 @@ class Channel {
     return send(std::span<const std::uint8_t>(message));
   }
 
-  // Nonblocking framed send with partial-write resumption. `cursor` tracks
-  // progress through the wire image ([4-byte header | message]); callers
-  // start it at 0 and pass the same variable back until the frame
-  // completes. Returns OK when the whole frame is on the wire,
-  // kUnavailable when the socket would block (EAGAIN — call again when
-  // writable, with the cursor untouched in between), and kIoError /
-  // kTimeout on a dead transport. A frame abandoned mid-cursor leaves the
-  // stream unframeable: the only safe next step is close().
-  Status send_some(std::span<const std::uint8_t> message, std::size_t& cursor);
+  // Nonblocking write of whole frames already in wire form: each slice is
+  // one [u32 LE length | body] frame, or the unwritten tail of one. As
+  // many frames as one iovec array holds (128) leave in one sendmsg.
+  // `cursor` counts the batch's bytes already on the wire; callers start
+  // it at 0 and pass the same batch and cursor back until it completes, so
+  // a would-block leaves at most one frame part-written. Returns OK when
+  // every byte is out, kUnavailable when the socket would block, and
+  // kIoError / kTimeout on a dead transport. A frame abandoned mid-cursor
+  // leaves the stream unframeable: the only safe next step is close().
+  // An armed failure cuts the batch at its exact byte.
+  Status send_frames(std::span<const IoSlice> frames, std::size_t& cursor);
 
   // True when a send of at least one byte would not block (POLLOUT within
   // timeout_ms; 0 = poll-and-return).
@@ -84,7 +86,7 @@ class Channel {
   // within `deadline_ms` fails with kTimeout and closes the channel (the
   // frame is partially written — the stream cannot be re-synchronized).
   // Negative restores the unbounded default. This is the liveness fix for
-  // senders wedged in send_all toward a peer that stopped reading.
+  // senders wedged in a blocking send toward a peer that stopped reading.
   void set_send_deadline(int deadline_ms) {
     send_deadline_ms_ = deadline_ms < 0 ? -1 : deadline_ms;
   }
@@ -148,12 +150,12 @@ class Channel {
   // Writes `bytes` as they are, with no frame header (routed through the
   // armed-failure seam like every send). Lets tests and fuzz drivers put
   // split, truncated or hostile wire images on the stream.
-  Status send_raw(std::span<const std::uint8_t> bytes) {
-    if (fd_ < 0) return make_error(ErrorCode::kIoError, "channel is closed");
-    return write_bytes(bytes.data(), bytes.size());
-  }
+  Status send_raw(std::span<const std::uint8_t> bytes);
 
+  // Frames fully sent, and the sendmsg calls that carried them (a batch
+  // of frames can share one call).
   std::size_t messages_sent() const { return sent_; }
+  std::size_t sendmsg_calls() const { return sendmsg_calls_; }
   std::size_t bytes_sent() const { return bytes_sent_; }
   // Bytes pulled off the socket so far, frame headers included.
   std::size_t bytes_received() const { return bytes_received_; }
@@ -162,15 +164,15 @@ class Channel {
   explicit Channel(int fd) : fd_(fd) {}
   friend class ChannelListener;
 
-  // Blocking gather write under the send deadline; a blown deadline
-  // closes the channel.
-  Status write_iov(struct iovec* iov, std::size_t count);
-  // write_iov that honours an armed failure; all send paths route their
-  // wire bytes through here so byte budgets are exact.
-  Status write_bytes(const void* data, std::size_t size);
+  // Every send path's one gather write: sendmsg under `deadline_ms`
+  // (a blown deadline closes the channel), with an armed failure applied
+  // at its exact byte so byte budgets hold across frames and batches.
+  Status write_iov(struct iovec* iov, std::size_t count, int deadline_ms,
+                   std::size_t* progress = nullptr);
 
   int fd_ = -1;
   std::size_t sent_ = 0;
+  std::size_t sendmsg_calls_ = 0;
   std::size_t bytes_sent_ = 0;
   int send_deadline_ms_ = -1;  // <0: block indefinitely (legacy behaviour)
   InjectedFailure failure_ = InjectedFailure::kNone;

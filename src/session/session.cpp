@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <thread>
 
 #include "analysis/plan_verify.hpp"
@@ -42,6 +43,13 @@ constexpr std::size_t kControlQueueCap = 64;
 constexpr std::size_t kHandshakePayloadBytes = 21;
 constexpr std::uint8_t kHandshakeInitiate = 0x01;
 constexpr std::size_t kSeqBytes = 8;
+// A ring slot's wire frame: [u32 LE length | tag | ...].
+constexpr std::size_t kLenBytes = 4;
+constexpr std::size_t kRecordWireHead = kLenBytes + 1 + kSeqBytes;
+
+bool is_notice(const std::vector<std::uint8_t>& wire) {
+  return wire[kLenBytes] == kTagShed;
+}
 
 std::uint64_t generate_session_id() {
   // Distinct per session within the process, never zero (the multiplier
@@ -305,11 +313,8 @@ void MessageSession::configure_transport() {
 void MessageSession::reset_partial_cursors() {
   // Partially written frames died with the transport; they retransmit in
   // full (and re-frame cleanly) on whatever channel comes next.
-  if (!control_queue_.empty()) control_queue_.front().cursor = 0;
-  if (!send_queue_.empty()) send_queue_.front().cursor = 0;
-  spill_cursor_ = 0;
-  spill_seq_ = 0;
-  spill_frame_.clear();
+  tx_cursor_ = 0;
+  control_cursor_ = 0;
 }
 
 Status MessageSession::ready_to_send() {
@@ -426,15 +431,13 @@ Status MessageSession::absorb_ack(std::uint64_t last_seq) {
     return Status(ErrorCode::kMalformedInput,
                   "peer acknowledges records that were never sent");
   if (last_seq > peer_acked_seq_) peer_acked_seq_ = last_seq;
-  while (!replay_.empty() && replay_.front().seq <= peer_acked_seq_) {
-    replay_bytes_ -= replay_.front().frame.size();
-    replay_.pop_front();
-  }
-  while (!inflight_.empty() && inflight_.front().first <= peer_acked_seq_) {
-    inflight_bytes_ -= inflight_.front().second;
-    inflight_.pop_front();
-  }
+  release_acked();
   return Status::ok();
+}
+
+void MessageSession::release_acked() {
+  while (ring_head_ < ring_tx_ && ring_at(ring_head_).seq <= peer_acked_seq_)
+    free_slot(ring_at(ring_head_++));
 }
 
 Status MessageSession::process_handshake(
@@ -488,70 +491,46 @@ Status MessageSession::process_handshake(
 
 Status MessageSession::replay_unacked() {
   // Direct writes below; nothing may interleave with a half-sent frame.
-  if (options_.flow_control)
-    XMIT_RETURN_IF_ERROR(flush_partials(options_.liveness_deadline_ms));
-  // Queued-but-unsent shed notices must replay too, in sequence position,
-  // or the records they scrubbed from the replay buffer read as silent
-  // loss at the receiver.
-  std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> notices;
-  if (options_.flow_control) {
-    for (const QueuedFrame& frame : send_queue_)
-      if (frame.control && !frame.frame.empty() &&
-          frame.frame[0] == kTagShed)
-        notices.emplace_back(
-            load_with_order<std::uint64_t>(frame.frame.data() + 1,
-                                           ByteOrder::kLittle),
-            frame.frame);
-    std::sort(notices.begin(), notices.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-  }
-  std::size_t next_notice = 0;
-  const auto notices_before = [&](std::uint64_t seq) -> Status {
-    for (; next_notice < notices.size() && notices[next_notice].first < seq;
-         ++next_notice)
-      XMIT_RETURN_IF_ERROR(channel_.send(notices[next_notice].second));
-    return Status::ok();
-  };
+  XMIT_RETURN_IF_ERROR(flush_partials(options_.liveness_deadline_ms));
   // Announcements the peer's ack does not cover may never have arrived;
   // un-mark them so they go out again ahead of the frames that need them.
   // Formats the *peer* announced have no announce_seq_ entry and stay.
   for (const auto& [fid, seq] : announce_seq_)
     if (seq > peer_acked_seq_) announced_.erase(fid);
-  // Durable reach-back: after a restart (or a deep eviction) the oldest
-  // unacked records live only on disk. Stream the stretch the in-memory
-  // buffer no longer covers before the buffered frames go out.
-  if (durable_ && log_ != nullptr && !log_->empty()) {
-    const std::uint64_t need = peer_acked_seq_ + 1;
-    const std::uint64_t mem_first =
-        replay_.empty() ? next_seq_ : replay_.front().seq;
-    if (need < mem_first && need <= log_->last_seq())
-      XMIT_RETURN_IF_ERROR(
-          stream_from_log(need, std::min(mem_first - 1, log_->last_seq())));
+  // Every unacked frame goes out again in sequence order: from the ring,
+  // and from the durable log whatever memory no longer holds (evicted,
+  // spilled, or sent before a restart). Shed notices replay in position,
+  // or the records they name would read as silent loss at the receiver.
+  std::uint64_t next = peer_acked_seq_ + 1;
+  for (std::uint64_t i = ring_head_; i < ring_end_; ++i) {
+    const OutFrame& frame = ring_at(i);
+    if (frame.seq < next) continue;
+    const bool notice = is_notice(frame.wire);
+    const std::uint64_t first =
+        notice ? load_with_order<std::uint64_t>(frame.wire.data() + 5,
+                                                ByteOrder::kLittle)
+               : frame.seq;
+    XMIT_RETURN_IF_ERROR(stream_from_log(next, first - 1));
+    XMIT_RETURN_IF_ERROR(announce_for_replay(frame.format_id, frame.seq));
+    XMIT_RETURN_IF_ERROR(
+        channel_.send(std::span(frame.wire).subspan(kLenBytes)));
+    if (!notice) ++replayed_records_;
+    next = frame.seq + 1;
   }
-  for (const ReplayEntry& entry : replay_) {
-    if (entry.seq <= peer_acked_seq_) continue;
-    XMIT_RETURN_IF_ERROR(notices_before(entry.seq));
-    XMIT_RETURN_IF_ERROR(announce_for_replay(entry.format_id, entry.seq));
-    XMIT_RETURN_IF_ERROR(channel_.send(entry.frame));
-    ++replayed_records_;
-  }
-  XMIT_RETURN_IF_ERROR(notices_before(next_seq_));
-  if (options_.flow_control) {
-    // The replay just re-sent (directly) everything the queue still owed
-    // the wire: the queued copies are now redundant and the in-flight
-    // ledger restarts clean. Control frames (grants, heartbeats) keep
-    // their place — a stale grant is monotone and therefore harmless.
-    send_queue_.clear();
-    data_queue_records_ = 0;
-    data_queue_bytes_ = 0;
-    next_transmit_seq_ = next_seq_;
-    inflight_.clear();
-    inflight_bytes_ = 0;
-    spill_seq_ = 0;
-    spill_cursor_ = 0;
-    spill_frame_.clear();
-  }
+  XMIT_RETURN_IF_ERROR(stream_from_log(next, next_seq_ - 1));
+  hand_off_queue();
   return Status::ok();
+}
+
+void MessageSession::hand_off_queue() {
+  ring_tx_ = ring_end_;
+  tx_cursor_ = 0;
+  queued_bytes_ = 0;
+  data_queue_records_ = 0;
+  next_transmit_seq_ = next_seq_;
+  while (!resumable_ && ring_head_ < ring_end_)
+    free_slot(ring_at(ring_head_++));
+  release_acked();
 }
 
 void MessageSession::maybe_ping() {
@@ -582,47 +561,85 @@ void MessageSession::send_ack_frame(std::uint8_t tag) {
     note_transport_lost();
 }
 
+MessageSession::OutFrame& MessageSession::ring_insert(std::uint64_t at) {
+  if (ring_end_ - ring_head_ == ring_.size()) {
+    // Full: double it, moving every slot (and its buffer) in order.
+    std::vector<OutFrame> grown(std::max<std::size_t>(16, ring_.size() * 2));
+    for (std::size_t i = 0; i < ring_.size(); ++i)
+      grown[i] = std::move(ring_at(ring_head_ + i));
+    ring_ = std::move(grown);
+    at -= ring_head_;
+    ring_tx_ -= ring_head_;
+    ring_end_ -= ring_head_;
+    ring_head_ = 0;
+  }
+  for (std::uint64_t i = ring_end_++; i > at; --i)
+    std::swap(ring_at(i), ring_at(i - 1));
+  return ring_at(at);
+}
+
+void MessageSession::ring_erase(std::uint64_t from, std::uint64_t to) {
+  for (std::uint64_t i = from; i + (to - from) < ring_end_; ++i)
+    std::swap(ring_at(i), ring_at(i + (to - from)));
+  ring_end_ -= to - from;
+}
+
+void MessageSession::free_slot(OutFrame& slot) {
+  ring_bytes_ -= slot.wire.size();
+  const std::size_t share =
+      (options_.replay_buffer_bytes + options_.send_queue_bytes) / ring_.size();
+  if (slot.wire.capacity() > share) slot.wire = std::vector<std::uint8_t>();
+}
+
+MessageSession::OutFrame& MessageSession::stage_record(
+    std::uint64_t at, std::uint64_t seq, pbio::FormatId format_id,
+    std::span<const IoSlice> payload) {
+  OutFrame& slot = ring_insert(at);
+  slot.seq = seq;
+  slot.format_id = format_id;
+  std::size_t size = kRecordWireHead;
+  for (const IoSlice& s : payload) size += s.size;
+  slot.wire.resize(size);
+  std::uint8_t* out = slot.wire.data();
+  store_with_order<std::uint32_t>(
+      out, static_cast<std::uint32_t>(size - kLenBytes), ByteOrder::kLittle);
+  out[kLenBytes] = kTagRecord;
+  store_with_order<std::uint64_t>(out + kLenBytes + 1, seq,
+                                  ByteOrder::kLittle);
+  out += kRecordWireHead;
+  for (const IoSlice& s : payload) {
+    if (s.size > 0) std::memcpy(out, s.data, s.size);
+    out += s.size;
+  }
+  ring_bytes_ += size;
+  return slot;
+}
+
 void MessageSession::buffer_for_replay(std::uint64_t seq,
                                        pbio::FormatId format_id,
-                                       std::span<const IoSlice> slices) {
-  ReplayEntry entry;
-  entry.seq = seq;
-  entry.format_id = format_id;
-  std::size_t total = 0;
-  for (const IoSlice& s : slices) total += s.size;
-  entry.frame.reserve(total);
-  for (const IoSlice& s : slices) {
-    const auto* p = static_cast<const std::uint8_t*>(s.data);
-    entry.frame.insert(entry.frame.end(), p, p + s.size);
-  }
-  replay_bytes_ += entry.frame.size();
-  replay_.push_back(std::move(entry));
+                                       std::span<const IoSlice> payload) {
+  stage_record(ring_end_, seq, format_id, payload);
+  ring_tx_ = ring_end_;
   // Bounded window: evicted frames are simply no longer replayable — a
   // resume past them surfaces kDataLoss at the receiver, once. With a
   // durable log the eviction is harmless (the disk covers the seq); an
   // eviction *without* that cover is silent data-at-risk, so it is
   // counted and warned about once per session.
-  while (!replay_.empty() &&
-         (replay_.size() > options_.replay_buffer_records ||
-          replay_bytes_ > options_.replay_buffer_bytes)) {
-    const ReplayEntry& victim = replay_.front();
-    const bool covered = durable_ && log_ != nullptr &&
-                         victim.seq >= log_->first_seq() &&
-                         victim.seq <= log_->last_seq();
-    if (victim.seq > peer_acked_seq_ && !covered) {
-      ++evicted_records_;
-      if (!eviction_logged_) {
-        eviction_logged_ = true;
-        std::fprintf(stderr,
-                     "xmit session %" PRIu64
-                     ": replay buffer evicted unacked record seq %" PRIu64
-                     " with no durable log to recover it; a resume past "
-                     "this point will surface kDataLoss\n",
-                     session_id_, victim.seq);
-      }
+  while (ring_end_ - ring_head_ > options_.replay_buffer_records ||
+         ring_bytes_ > options_.replay_buffer_bytes) {
+    OutFrame& victim = ring_at(ring_head_++);
+    free_slot(victim);
+    if (victim.seq <= peer_acked_seq_ || log_covers(victim.seq)) continue;
+    ++evicted_records_;
+    if (!eviction_logged_) {
+      eviction_logged_ = true;
+      std::fprintf(stderr,
+                   "xmit session %" PRIu64
+                   ": replay buffer evicted unacked record seq %" PRIu64
+                   " with no durable log to recover it; a resume past "
+                   "this point will surface kDataLoss\n",
+                   session_id_, victim.seq);
     }
-    replay_bytes_ -= victim.frame.size();
-    replay_.pop_front();
   }
 }
 
@@ -725,10 +742,12 @@ bool MessageSession::enqueue_control(std::span<const std::uint8_t> frame,
   // frames (announcements) ride past the cap — they are few and bounded
   // by the format population.
   if (droppable && control_queue_.size() >= kControlQueueCap) return false;
-  QueuedFrame queued;
-  queued.control = true;
-  queued.frame.assign(frame.begin(), frame.end());
-  control_queue_.push_back(std::move(queued));
+  std::vector<std::uint8_t>& wire =
+      control_queue_.emplace_back(kLenBytes + frame.size());
+  store_with_order<std::uint32_t>(
+      wire.data(), static_cast<std::uint32_t>(frame.size()),
+      ByteOrder::kLittle);
+  std::memcpy(wire.data() + kLenBytes, frame.data(), frame.size());
   pump_send_queue();
   return true;
 }
@@ -750,29 +769,12 @@ Status MessageSession::load_spill_frame(std::uint64_t seq) {
   // Schema-ahead-of-data still holds on the spill path. No partial can be
   // mid-wire here (the pump only loads between whole frames), so a direct
   // write is frame-safe.
-  if (item.format_id != 0 && !announced_.contains(item.format_id)) {
-    auto format = registry_->by_id(item.format_id);
-    if (format.is_ok()) {
-      ByteBuffer frame;
-      frame.append_byte(kTagFormat);
-      serialize_format(*format.value(), frame);
-      XMIT_RETURN_IF_ERROR(channel_.send(frame.span()));
-      announced_.insert(item.format_id);
-      announce_seq_[item.format_id] = item.seq;
-      ++announcements_sent_;
-      metadata_bytes_sent_ += frame.size();
-    }
-  }
-  spill_frame_.clear();
-  spill_frame_.reserve(1 + kSeqBytes + item.payload.size());
-  spill_frame_.push_back(kTagRecord);
-  std::uint8_t seq_le[kSeqBytes];
-  store_with_order<std::uint64_t>(seq_le, seq, ByteOrder::kLittle);
-  spill_frame_.insert(spill_frame_.end(), seq_le, seq_le + kSeqBytes);
-  spill_frame_.insert(spill_frame_.end(), item.payload.begin(),
-                      item.payload.end());
-  spill_cursor_ = 0;
-  spill_seq_ = seq;
+  XMIT_RETURN_IF_ERROR(announce_for_replay(item.format_id, item.seq));
+  const IoSlice payload{item.payload.data(), item.payload.size()};
+  const OutFrame& slot = stage_record(
+      ring_tx_, seq, item.format_id, std::span<const IoSlice>(&payload, 1));
+  ++data_queue_records_;
+  queued_bytes_ += slot.wire.size();
   return Status::ok();
 }
 
@@ -797,104 +799,95 @@ Status MessageSession::fc_receive_frame(std::vector<std::uint8_t>& out,
 
 void MessageSession::pump_send_queue() {
   if (!options_.flow_control) return;
-  // True once a frame is wholly on the wire; false when the socket would
-  // block (the frame waits at its cursor) or the transport died.
-  const auto wrote = [this](const Status& sent) {
-    if (sent.is_ok()) return true;
-    if (sent.code() != ErrorCode::kUnavailable) note_transport_lost();
-    return false;
-  };
-  // Writes the data-queue front, then accounts for it and pops it.
-  const auto send_front = [&] {
-    QueuedFrame& front = send_queue_.front();
-    if (!wrote(channel_.send_some(front.frame, front.cursor))) return false;
-    if (front.control) {
-      next_transmit_seq_ = std::max(next_transmit_seq_, front.seq + 1);
-    } else {
-      const std::size_t wire = 4 + front.frame.size();
-      inflight_.emplace_back(front.seq, static_cast<std::uint32_t>(wire));
-      inflight_bytes_ += wire;
-      next_transmit_seq_ = front.seq + 1;
-      --data_queue_records_;
-      data_queue_bytes_ -= front.frame.size();
-    }
-    send_queue_.pop_front();
-    return true;
-  };
-  for (;;) {
-    if (!channel_.is_open()) return;  // queues wait for resume
-    // 1. A spill frame in flight (or freshly loaded) owns the wire.
-    if (spill_seq_ != 0) {
-      if (spill_cursor_ == 0 && inflight_bytes_ > 0 &&
-          inflight_bytes_ + 4 + spill_frame_.size() > credit_bytes_window_)
-        return;  // byte-starved; one frame rides a quiet wire
-      if (!wrote(channel_.send_some(spill_frame_, spill_cursor_))) return;
-      const std::size_t wire = 4 + spill_frame_.size();
-      inflight_.emplace_back(spill_seq_, static_cast<std::uint32_t>(wire));
-      inflight_bytes_ += wire;
-      next_transmit_seq_ = spill_seq_ + 1;
-      spill_seq_ = 0;
-      spill_cursor_ = 0;
-      spill_frame_.clear();
-      continue;
-    }
-    // 2. A partially written data-queue front must finish next: any other
-    // byte on the wire before its tail corrupts the framing.
-    if (!send_queue_.empty() && send_queue_.front().cursor > 0) {
-      if (!send_front()) return;
-      continue;
-    }
-    // 3. Credit-exempt control traffic: grants, heartbeats, announcements.
-    if (!control_queue_.empty()) {
-      QueuedFrame& front = control_queue_.front();
-      if (!wrote(channel_.send_some(front.frame, front.cursor))) return;
-      control_queue_.pop_front();
-      continue;
-    }
-    // 4. Fresh data, gated on the peer's credit.
-    if (send_queue_.empty()) {
-      // Spilled tail: everything still owed to the wire lives only in
-      // the durable log. Stream it back under the same credit gates.
-      if (next_transmit_seq_ >= next_seq_) return;  // drained
-      if (options_.slow_consumer != SlowConsumerPolicy::kSpillToLog ||
-          !durable_ || log_ == nullptr || log_->empty() ||
-          next_transmit_seq_ < log_->first_seq() ||
-          next_transmit_seq_ > log_->last_seq())
-        return;
-      if (next_transmit_seq_ > credit_seq_limit_) return;
-      Status loaded = load_spill_frame(next_transmit_seq_);
-      if (!loaded.is_ok()) {
+  while (channel_.is_open()) {  // a dead transport's ring waits for resume
+    if (!partial_in_flight()) {
+      // Records spilled to the log come back from disk into the transmit
+      // slot, one at a time, under the same credit gates as fresh ones.
+      const bool gap = ring_tx_ < ring_end_
+                           ? !is_notice(ring_at(ring_tx_).wire) &&
+                                 ring_at(ring_tx_).seq > next_transmit_seq_
+                           : next_transmit_seq_ < next_seq_;
+      if (gap && spilled(next_transmit_seq_) &&
+          next_transmit_seq_ <= credit_seq_limit_ &&
+          !load_spill_frame(next_transmit_seq_).is_ok()) {
         if (!channel_.is_open()) note_transport_lost();
         return;
       }
-      continue;
     }
-    QueuedFrame& front = send_queue_.front();
-    if (!front.control && front.seq > next_transmit_seq_) {
-      // A gap before the front: records spilled to the log come back
-      // from disk first; records shed (their notice already completed)
-      // are skipped for good.
-      if (options_.slow_consumer == SlowConsumerPolicy::kSpillToLog &&
-          durable_ && log_ != nullptr && !log_->empty() &&
-          next_transmit_seq_ >= log_->first_seq() &&
-          next_transmit_seq_ <= log_->last_seq()) {
-        if (next_transmit_seq_ > credit_seq_limit_) return;
-        Status loaded = load_spill_frame(next_transmit_seq_);
-        if (!loaded.is_ok()) {
-          if (!channel_.is_open()) note_transport_lost();
-          return;
-        }
-        continue;
+    // The batch: a part-written frame first (any other byte before its
+    // tail corrupts the framing), then credit-exempt control frames, then
+    // queued ring frames as far as the peer's credit reaches.
+    flush_slices_.clear();
+    std::uint64_t next = ring_tx_;
+    std::uint64_t owed = next_transmit_seq_;  // next data seq for the wire
+    std::size_t inflight = ring_bytes_ - queued_bytes_;
+    const auto take = [&](std::size_t skip) {
+      const OutFrame& frame = ring_at(next++);
+      flush_slices_.push_back(
+          {frame.wire.data() + skip, frame.wire.size() - skip});
+      owed = is_notice(frame.wire) ? std::max(owed, frame.seq + 1)
+                                   : frame.seq + 1;
+      inflight += frame.wire.size();
+    };
+    if (tx_cursor_ > 0) take(tx_cursor_);
+    std::size_t skip = control_cursor_;
+    for (const std::vector<std::uint8_t>& wire : control_queue_) {
+      flush_slices_.push_back({wire.data() + skip, wire.size() - skip});
+      skip = 0;
+    }
+    const std::size_t controls_end = flush_slices_.size();
+    while (next < ring_end_) {
+      const OutFrame& frame = ring_at(next);
+      if (!is_notice(frame.wire)) {  // notices go in position, credit-exempt
+        if (frame.seq > owed && spilled(owed)) break;  // disk streams it first
+        if (frame.seq > credit_seq_limit_) break;       // starved
+        if (inflight > 0 &&
+            inflight + frame.wire.size() > credit_bytes_window_)
+          break;  // byte-starved; one frame rides a quiet wire
+        // Unacked frames stay in memory: cap them against an ack-less peer.
+        if (next - ring_head_ >= options_.replay_buffer_records) break;
       }
-      next_transmit_seq_ = front.seq;
+      take(0);
     }
-    if (!front.control) {
-      if (front.seq > credit_seq_limit_) return;  // starved
-      if (inflight_bytes_ > 0 &&
-          inflight_bytes_ + 4 + front.frame.size() > credit_bytes_window_)
-        return;
+    if (flush_slices_.empty()) return;
+
+    std::size_t written = 0;
+    const Status sent = channel_.send_frames(flush_slices_, written);
+    // Retire every frame now wholly on the wire; park the cursor in the
+    // one the socket cut short.
+    std::size_t k = 0;
+    const auto finished = [&](std::size_t& cursor) {
+      const std::size_t size = flush_slices_[k++].size;
+      if (written < size) {
+        cursor += written;
+        written = 0;
+        return false;
+      }
+      written -= size;
+      cursor = 0;
+      return true;
+    };
+    bool whole = true;
+    if (tx_cursor_ > 0 && (whole = finished(tx_cursor_))) retire_tx();
+    while (whole && k < controls_end && (whole = finished(control_cursor_)))
+      control_queue_.pop_front();
+    while (whole && k < flush_slices_.size() && (whole = finished(tx_cursor_)))
+      retire_tx();
+    if (!sent.is_ok()) {
+      if (sent.code() != ErrorCode::kUnavailable) note_transport_lost();
+      return;
     }
-    if (!send_front()) return;
+  }
+}
+
+void MessageSession::retire_tx() {
+  const OutFrame& frame = ring_at(ring_tx_++);
+  queued_bytes_ -= frame.wire.size();
+  if (is_notice(frame.wire)) {
+    next_transmit_seq_ = std::max(next_transmit_seq_, frame.seq + 1);
+  } else {
+    next_transmit_seq_ = frame.seq + 1;
+    --data_queue_records_;
   }
 }
 
@@ -969,7 +962,7 @@ bool MessageSession::queue_over_watermark(std::size_t incoming_bytes) const {
   const auto byte_limit = static_cast<std::size_t>(
       static_cast<double>(options_.send_queue_bytes) * watermark);
   return data_queue_records_ + 1 > std::max<std::size_t>(record_limit, 1) ||
-         data_queue_bytes_ + incoming_bytes >
+         queued_bytes_ + incoming_bytes >
              std::max<std::size_t>(byte_limit, 1);
 }
 
@@ -977,14 +970,17 @@ Status MessageSession::admit_record(std::size_t frame_bytes) {
   if (!options_.flow_control) return Status::ok();
   poll_control();
   pump_send_queue();
-  if (!queue_over_watermark(frame_bytes)) return Status::ok();
+  const auto over = [&] {
+    return queue_over_watermark(frame_bytes) || ring_full(frame_bytes);
+  };
+  if (!over()) return Status::ok();
   switch (options_.slow_consumer) {
     case SlowConsumerPolicy::kBlockWithDeadline: {
       Stopwatch wait;
       for (;;) {
         poll_control();
         pump_send_queue();
-        if (!queue_over_watermark(frame_bytes)) {
+        if (!over()) {
           send_block_ms_ += wait.elapsed_ms();
           return Status::ok();
         }
@@ -1029,18 +1025,19 @@ Status MessageSession::admit_record(std::size_t frame_bytes) {
       return Status::ok();
     }
     case SlowConsumerPolicy::kShedOldest: {
-      XMIT_RETURN_IF_ERROR(shed_queue());
+      shed_queue();
       pump_send_queue();
+      // Shedding frees only queued records: one whose unacked in-flight
+      // frames alone fill the replay bound still cannot take more.
+      if (ring_full(frame_bytes))
+        return Status(ErrorCode::kResourceExhausted,
+                      "replay buffer full of unacked records that no "
+                      "durable log covers");
       return Status::ok();
     }
     case SlowConsumerPolicy::kDisconnect: {
       note_transport_lost();
-      send_queue_.clear();
-      data_queue_records_ = 0;
-      data_queue_bytes_ = 0;
-      next_transmit_seq_ = next_seq_;
-      inflight_.clear();
-      inflight_bytes_ = 0;
+      hand_off_queue();
       return Status(ErrorCode::kResourceExhausted,
                     "send queue hit its watermark; policy kDisconnect "
                     "dropped the transport");
@@ -1050,89 +1047,65 @@ Status MessageSession::admit_record(std::size_t frame_bytes) {
 }
 
 void MessageSession::spill_queue() {
-  // Every unstarted data frame is covered by the write-ahead log, so
+  // Every unstarted queued frame is covered by the write-ahead log, so
   // memory can let go of all of them: the ring is a cache, the log is the
   // truth. The pump streams the gap back from disk as credit returns.
-  std::deque<QueuedFrame> kept;
-  bool at_front = true;
-  for (QueuedFrame& frame : send_queue_) {
-    const bool started = at_front && frame.cursor > 0;
-    at_front = false;
-    if (frame.control || started) {
-      kept.push_back(std::move(frame));
-      continue;
-    }
-    ++records_spilled_;
-    --data_queue_records_;
-    data_queue_bytes_ -= frame.frame.size();
+  const std::uint64_t from = ring_tx_ + (tx_cursor_ > 0 ? 1 : 0);
+  for (std::uint64_t i = from; i < ring_end_; ++i) {
+    queued_bytes_ -= ring_at(i).wire.size();
+    free_slot(ring_at(i));
   }
-  send_queue_ = std::move(kept);
+  records_spilled_ += ring_end_ - from;
+  data_queue_records_ -= ring_end_ - from;
+  ring_end_ = from;
 }
 
-Status MessageSession::shed_queue() {
+void MessageSession::shed_queue() {
   // Oldest-first: freshest data wins (the telemetry shape). Drop down to
   // half the watermark so the policy does not re-fire on every send, and
-  // name every dropped range to the peer in an in-position 0x09 notice.
+  // name every dropped range to the peer in a 0x09 notice that takes the
+  // run's place in the ring, so it precedes every surviving later record
+  // (and replays with them on a resume).
   const double watermark =
       std::clamp(options_.send_queue_watermark, 0.01, 1.0);
   const auto record_target = static_cast<std::size_t>(
       static_cast<double>(options_.send_queue_records) * watermark / 2);
   const auto byte_target = static_cast<std::size_t>(
       static_cast<double>(options_.send_queue_bytes) * watermark / 2);
-  std::size_t i = 0;
-  while ((data_queue_records_ > record_target ||
-          data_queue_bytes_ > byte_target) &&
-         i < send_queue_.size()) {
-    QueuedFrame& candidate = send_queue_[i];
-    if (candidate.control || candidate.cursor > 0) {
-      ++i;
-      continue;
-    }
-    const std::uint64_t first = candidate.seq;
+  const auto over = [&] {
+    return data_queue_records_ > record_target || queued_bytes_ > byte_target;
+  };
+  std::uint64_t i = ring_tx_ + (tx_cursor_ > 0 ? 1 : 0);
+  for (; over() && i < ring_end_; ++i) {
+    if (is_notice(ring_at(i).wire)) continue;
+    const std::uint64_t first = ring_at(i).seq;
     std::uint64_t last = first;
-    while ((data_queue_records_ > record_target ||
-            data_queue_bytes_ > byte_target) &&
-           i < send_queue_.size()) {
-      QueuedFrame& victim = send_queue_[i];
-      if (victim.control || victim.cursor > 0) break;
-      if (victim.seq != last && victim.seq != last + 1) break;
+    std::uint64_t end = i;
+    for (; over() && end < ring_end_; ++end) {
+      OutFrame& victim = ring_at(end);
+      if (is_notice(victim.wire) || victim.seq > last + 1) break;
       last = victim.seq;
       ++records_shed_;
       --data_queue_records_;
-      data_queue_bytes_ -= victim.frame.size();
-      send_queue_.erase(send_queue_.begin() + static_cast<std::ptrdiff_t>(i));
-    }
-    // Shed records must not resurrect on a resume: scrub them from the
-    // replay buffer (the notice, replayed in position, owns their story).
-    for (auto it = replay_.begin(); it != replay_.end();) {
-      if (it->seq >= first && it->seq <= last) {
-        replay_bytes_ -= it->frame.size();
-        it = replay_.erase(it);
-      } else {
-        ++it;
-      }
+      queued_bytes_ -= victim.wire.size();
+      free_slot(victim);
     }
     append_shed_sidecar(first, last);
-    i = splice_shed_notice(i, first, last);
+    std::vector<std::uint8_t>& notice = ring_at(i).wire;
+    notice.resize(kLenBytes + 1 + kShedPayloadBytes);
+    store_with_order<std::uint32_t>(
+        notice.data(), std::uint32_t{1 + kShedPayloadBytes}, ByteOrder::kLittle);
+    notice[kLenBytes] = kTagShed;
+    store_with_order<std::uint64_t>(notice.data() + kLenBytes + 1, first,
+                                    ByteOrder::kLittle);
+    store_with_order<std::uint64_t>(notice.data() + kLenBytes + 9, last,
+                                    ByteOrder::kLittle);
+    ring_at(i).seq = last;  // transmitting it advances the owed seq past
+    ring_at(i).format_id = 0;
+    ring_bytes_ += notice.size();
+    queued_bytes_ += notice.size();
+    ring_erase(i + 1, end);
   }
-  return Status::ok();
-}
-
-std::size_t MessageSession::splice_shed_notice(std::size_t index,
-                                               std::uint64_t first,
-                                               std::uint64_t last) {
-  QueuedFrame notice;
-  notice.seq = last;  // completion advances next_transmit_seq_ past it
-  notice.control = true;
-  notice.frame.resize(1 + kShedPayloadBytes);
-  notice.frame[0] = kTagShed;
-  store_with_order<std::uint64_t>(notice.frame.data() + 1, first,
-                                  ByteOrder::kLittle);
-  store_with_order<std::uint64_t>(notice.frame.data() + 9, last,
-                                  ByteOrder::kLittle);
-  send_queue_.insert(send_queue_.begin() + static_cast<std::ptrdiff_t>(index),
-                     std::move(notice));
-  return index + 1;
 }
 
 void MessageSession::append_shed_sidecar(std::uint64_t first,
@@ -1145,19 +1118,30 @@ void MessageSession::append_shed_sidecar(std::uint64_t first,
   std::fclose(sidecar);
 }
 
-bool MessageSession::partial_in_flight() const {
-  return spill_cursor_ > 0 ||
-         (!control_queue_.empty() && control_queue_.front().cursor > 0) ||
-         (!send_queue_.empty() && send_queue_.front().cursor > 0);
-}
-
 Status MessageSession::flush_partials(int budget_ms) {
   if (!options_.flow_control) return Status::ok();
   Stopwatch budget;
-  for (;;) {
-    pump_send_queue();
-    if (!partial_in_flight()) return Status::ok();
-    if (!channel_.is_open()) return Status::ok();  // cursors were reset
+  while (partial_in_flight() && channel_.is_open()) {
+    const bool data = tx_cursor_ > 0;
+    std::size_t& cursor = data ? tx_cursor_ : control_cursor_;
+    const std::vector<std::uint8_t>& wire =
+        data ? ring_at(ring_tx_).wire : control_queue_.front();
+    const IoSlice tail{wire.data() + cursor, wire.size() - cursor};
+    std::size_t written = 0;
+    const Status sent = channel_.send_frames(std::span(&tail, 1), written);
+    cursor += written;
+    if (cursor == wire.size()) {
+      cursor = 0;
+      if (data)
+        retire_tx();
+      else
+        control_queue_.pop_front();
+      return Status::ok();
+    }
+    if (sent.code() != ErrorCode::kUnavailable) {
+      note_transport_lost();  // the cursors reset with the transport
+      return Status::ok();
+    }
     const int remaining = budget_ms - static_cast<int>(budget.elapsed_ms());
     if (remaining <= 0)
       return Status(ErrorCode::kTimeout,
@@ -1165,45 +1149,30 @@ Status MessageSession::flush_partials(int budget_ms) {
                     "budget (peer not reading)");
     channel_.poll_writable(std::min(remaining, 20));
   }
+  return Status::ok();
 }
 
 void MessageSession::note_queue_peaks() {
   send_queue_depth_peak_ = std::max(send_queue_depth_peak_,
                                     data_queue_records_);
-  send_queue_bytes_peak_ = std::max(send_queue_bytes_peak_,
-                                    data_queue_bytes_);
+  send_queue_bytes_peak_ = std::max(send_queue_bytes_peak_, queued_bytes_);
 }
 
 Status MessageSession::queue_record(pbio::FormatId format_id,
                                     std::span<const IoSlice> payload) {
   if (!resumable_ && !channel_.is_open())
     return Status(ErrorCode::kIoError, "channel is closed");
-  std::size_t payload_bytes = 0;
-  for (const IoSlice& slice : payload) payload_bytes += slice.size;
+  std::size_t wire_bytes = kRecordWireHead;
+  for (const IoSlice& slice : payload) wire_bytes += slice.size;
   // Admission precedes sequencing and the WAL: a rejected send consumes
   // no sequence number and leaves no log hole to misread as loss.
-  XMIT_RETURN_IF_ERROR(admit_record(1 + kSeqBytes + payload_bytes));
+  XMIT_RETURN_IF_ERROR(admit_record(wire_bytes));
   const std::uint64_t seq = next_seq_++;
-  QueuedFrame queued;
-  queued.seq = seq;
-  queued.format_id = format_id;
-  queued.frame.reserve(1 + kSeqBytes + payload_bytes);
-  queued.frame.push_back(kTagRecord);
-  std::uint8_t seq_le[kSeqBytes];
-  store_with_order<std::uint64_t>(seq_le, seq, ByteOrder::kLittle);
-  queued.frame.insert(queued.frame.end(), seq_le, seq_le + kSeqBytes);
-  for (const IoSlice& slice : payload) {
-    const auto* bytes = static_cast<const std::uint8_t*>(slice.data);
-    queued.frame.insert(queued.frame.end(), bytes, bytes + slice.size);
-  }
-  if (resumable_) {
-    const IoSlice whole = {queued.frame.data(), queued.frame.size()};
-    buffer_for_replay(seq, format_id, std::span<const IoSlice>(&whole, 1));
-  }
+  // Write-ahead: logged before the ring can hand it to the wire.
   XMIT_RETURN_IF_ERROR(append_durable(seq, format_id, payload));
+  stage_record(ring_end_, seq, format_id, payload);
   ++data_queue_records_;
-  data_queue_bytes_ += queued.frame.size();
-  send_queue_.push_back(std::move(queued));
+  queued_bytes_ += wire_bytes;
   note_queue_peaks();
   ++records_sent_;
   pump_send_queue();
@@ -1303,15 +1272,13 @@ Status MessageSession::send(const pbio::Encoder& encoder, const void* record) {
   record_head_[0] = kTagRecord;
   store_with_order<std::uint64_t>(record_head_.data() + 1, seq,
                                   ByteOrder::kLittle);
-  send_slices_.insert(send_slices_.begin(),
-                      IoSlice{record_head_.data(), record_head_.size()});
-  if (resumable_)
-    buffer_for_replay(seq, encoder.format().id(), send_slices_);
   // Write-ahead: the record must be durable before it is transmitted —
   // a send the log refused never reaches the wire.
   XMIT_RETURN_IF_ERROR(
-      append_durable(seq, encoder.format().id(),
-                     std::span<const IoSlice>(send_slices_).subspan(1)));
+      append_durable(seq, encoder.format().id(), send_slices_));
+  if (resumable_) buffer_for_replay(seq, encoder.format().id(), send_slices_);
+  send_slices_.insert(send_slices_.begin(),
+                      IoSlice{record_head_.data(), record_head_.size()});
   return transmit_record(send_slices_);
 }
 
@@ -1330,9 +1297,8 @@ Status MessageSession::send_encoded(const pbio::Format& format,
   const IoSlice slices[2] = {{record_head_.data(), record_head_.size()},
                              {record.data(), record.size()}};
   const auto span2 = std::span<const IoSlice>(slices, 2);
-  if (resumable_) buffer_for_replay(seq, format.id(), span2);
-  XMIT_RETURN_IF_ERROR(
-      append_durable(seq, format.id(), span2.subspan(1)));
+  XMIT_RETURN_IF_ERROR(append_durable(seq, format.id(), span2.subspan(1)));
+  if (resumable_) buffer_for_replay(seq, format.id(), span2.subspan(1));
   return transmit_record(span2);
 }
 

@@ -197,8 +197,9 @@ class MessageSession {
   // if this session has not carried it yet. Gather I/O over pooled scratch:
   // after the first few sends of a format the steady state copies only the
   // header (plus the slot-patched fixed section for var-bearing formats)
-  // and performs no heap allocation. Resumable sessions additionally copy
-  // the frame into the bounded replay buffer until the peer acks it.
+  // and performs no heap allocation. Resumable and flow-controlled
+  // sessions copy the frame once, into a recycled slot of the outgoing
+  // ring, where it stays until the peer acks it.
   Status send(const pbio::Encoder& encoder, const void* record);
 
   // Sends an already-encoded record belonging to `format`.
@@ -308,7 +309,9 @@ class MessageSession {
   bool poisoned() const { return poisoned_; }
   // Unacked records silently pushed out of the bounded replay buffer
   // with no durable-log copy to fall back on — each one is a record a
-  // future resume cannot recover.
+  // future resume cannot recover. Only sessions without flow control
+  // evict: a flow-controlled one applies its SlowConsumerPolicy at the
+  // bound instead.
   std::size_t evicted_records() const { return evicted_records_; }
   bool durable() const { return durable_; }
   // Why durability is unavailable (open/append/fsync failure); OK while
@@ -350,7 +353,7 @@ class MessageSession {
   }
   std::uint64_t credit_seq_limit() const { return credit_seq_limit_; }
   std::size_t send_queue_depth() const { return data_queue_records_; }
-  std::size_t send_queue_bytes_now() const { return data_queue_bytes_; }
+  std::size_t send_queue_bytes_now() const { return queued_bytes_; }
   // High-water marks since the session started: the bounded-memory proof.
   std::size_t send_queue_depth_peak() const { return send_queue_depth_peak_; }
   std::size_t send_queue_bytes_peak() const { return send_queue_bytes_peak_; }
@@ -366,12 +369,14 @@ class MessageSession {
   double send_block_ms() const { return send_block_ms_; }
 
  private:
-  // One unacknowledged outgoing frame, kept until the peer's ack covers
-  // its sequence number (or the bounded buffer evicts it).
-  struct ReplayEntry {
-    std::uint64_t seq = 0;
-    pbio::FormatId format_id = 0;  // 0 for frames with no format owner
-    std::vector<std::uint8_t> frame;  // complete wire frame (tag included)
+  // One slot of the outgoing ring: a record frame, or the tag-0x09
+  // notice that took the place of a shed run. `wire` is the frame exactly
+  // as it goes on the wire — [u32 len | 0x02 | u64 seq | payload] — and
+  // keeps its capacity when the slot is reused.
+  struct OutFrame {
+    std::uint64_t seq = 0;  // data seq; for a shed notice, the range end
+    pbio::FormatId format_id = 0;  // 0 for a shed notice
+    std::vector<std::uint8_t> wire;
   };
 
   // Replacement transports arrive from other threads; heap-pinned so the
@@ -419,10 +424,36 @@ class MessageSession {
   // Sends [tag | last_seq_received_]: a heartbeat ping or the pong that
   // answers one (queued on the control lane when flow-controlled).
   void send_ack_frame(std::uint8_t tag);
-  // Appends a full wire frame to the replay buffer (resumable only) and
-  // evicts from the front to stay within the configured bounds.
+  // --- the outgoing ring ----------------------------------------------
+  OutFrame& ring_at(std::uint64_t index) {
+    return ring_[index & (ring_.size() - 1)];
+  }
+  // Opens a slot at `at` (ring_end_ appends), shifting later slots back
+  // (O(queue) swaps for a record reloaded from the log) and doubling the
+  // ring when it is full.
+  OutFrame& ring_insert(std::uint64_t at);
+  // Closes the slots [from, to) of the queued region.
+  void ring_erase(std::uint64_t from, std::uint64_t to);
+  // Lets go of a slot's frame; its buffer stays for reuse only up to an
+  // equal share of the byte bounds, so big records cannot pin every slot.
+  void free_slot(OutFrame& slot);
+  // Copies one record into a fresh slot at `at` as its whole wire frame.
+  OutFrame& stage_record(std::uint64_t at, std::uint64_t seq,
+                         pbio::FormatId format_id,
+                         std::span<const IoSlice> payload);
+  // Sessions without flow control: stages a record already on its way to
+  // the wire and evicts from the front to stay within the replay bound.
   void buffer_for_replay(std::uint64_t seq, pbio::FormatId format_id,
-                         std::span<const IoSlice> slices);
+                         std::span<const IoSlice> payload);
+  // Frees transmitted slots the peer's ack covers.
+  void release_acked();
+  // Every queued frame leaves the credit queue: a resumable session's
+  // replay has put (or will put) it on the wire; anyone else drops it.
+  void hand_off_queue();
+  bool log_covers(std::uint64_t seq) const {
+    return durable_ && log_ != nullptr && !log_->empty() &&
+           seq >= log_->first_seq() && seq <= log_->last_seq();
+  }
   // Wire-writes one already-sequenced record frame, applying the
   // resumable failure policy (buffered passively / reconnect actively).
   Status transmit_record(std::span<const IoSlice> slices);
@@ -432,19 +463,6 @@ class MessageSession {
                       std::span<const IoSlice> payload);
 
   // --- flow-control machinery -----------------------------------------
-  // One queued outgoing frame. Control frames (announcements, heartbeats,
-  // grants, shed notices) are credit-exempt; droppable ones (heartbeats,
-  // grants) may be skipped when the control queue is full, because a
-  // fresher copy always follows. `cursor` is the nonblocking
-  // partial-write resumption offset into the wire image.
-  struct QueuedFrame {
-    std::uint64_t seq = 0;  // data seq; for a shed notice, the range end
-    pbio::FormatId format_id = 0;
-    bool control = false;
-    std::size_t cursor = 0;
-    std::vector<std::uint8_t> frame;  // complete frame payload, tag first
-  };
-
   // Validates and applies a peer 0x08 credit grant. Order: length, zero
   // windows, absurd windows, u64 reach wrap, reach rollback, then the
   // ack itself — hostile values never touch credit state.
@@ -456,21 +474,29 @@ class MessageSession {
   // (handshake, ping) or when half the window has drained since the last
   // grant.
   void maybe_grant(bool force);
-  // Queues a control frame and lets the pump try to flush it. Returns
-  // false when a droppable frame was skipped (control queue full).
+  // Queues a credit-exempt control frame (announcements, heartbeats,
+  // grants) and lets the pump try to flush it. Droppable ones (heartbeats,
+  // grants) are skipped when the control queue is full, because a fresher
+  // copy always follows; returns false then.
   bool enqueue_control(std::span<const std::uint8_t> frame, bool droppable);
-  // Rebuilds the tag-0x02 frame for `seq` from the durable log into
-  // spill_frame_ (kSpillToLog streaming).
+  // kSpillToLog streaming: reads `seq` back from the durable log into a
+  // ring slot at the transmit index.
   Status load_spill_frame(std::uint64_t seq);
+  bool spilled(std::uint64_t seq) const {
+    return options_.slow_consumer == SlowConsumerPolicy::kSpillToLog &&
+           log_covers(seq);
+  }
   // Flow-controlled inbound path: takes frames from the channel's
   // nonblocking reader (Channel::next_frame) and pumps the send queue
   // while it waits, so acks and credit keep moving in both directions.
   Status fc_receive_frame(std::vector<std::uint8_t>& out, int timeout_ms);
-  // Drains control then data queues as far as the socket and the peer's
-  // credit allow. Nonblocking: a would-block socket parks the frame at
-  // its cursor. Starvation is not an error; transport deaths follow the
-  // resumable policy (so the pump has no status to return).
+  // Flushes a part-written frame, the control queue, then every queued
+  // ring frame the peer's credit allows, in one gather write
+  // (Channel::send_frames); a would-block parks the frame it cut at its
+  // cursor. Transport deaths follow the resumable policy (no status).
   void pump_send_queue();
+  // The frame at the transmit index is wholly on the wire.
+  void retire_tx();
   // Nonblocking inbound sweep used by send paths and the block-wait loop:
   // absorbs acks/credit/pings in place, parks everything else for the
   // next receive_view. Keeps last_inbound_ms_ honest while sending.
@@ -480,23 +506,28 @@ class MessageSession {
   // a rejected send consumes no seq and leaves no log hole.
   Status admit_record(std::size_t frame_bytes);
   bool queue_over_watermark(std::size_t incoming_bytes) const;
+  // A non-durable resumable session holds every unacked record until its
+  // ack, so at the replay bound its SlowConsumerPolicy fires: no silent
+  // eviction of a record nothing else covers.
+  bool ring_full(std::size_t incoming_bytes) const {
+    return resumable_ && !durable_ &&
+           (ring_end_ - ring_head_ + 1 > options_.replay_buffer_records ||
+            ring_bytes_ + incoming_bytes > options_.replay_buffer_bytes);
+  }
   // kSpillToLog: drop queued, unstarted data frames — the WAL holds them;
   // the pump streams them back from disk when credit returns.
   void spill_queue();
-  // kShedOldest: drop the oldest unstarted data frames, splice tag-0x09
-  // notices in their place, scrub them from the replay buffer, count.
-  Status shed_queue();
-  // Inserts a 0x09 notice for [first, last] at `index` in the data queue
-  // (so it precedes every surviving later record); returns the index just
-  // past the notice.
-  std::size_t splice_shed_notice(std::size_t index, std::uint64_t first,
-                                 std::uint64_t last);
+  // kShedOldest: drop the oldest unstarted data frames, each run replaced
+  // in position by the tag-0x09 notice that names it, and count them.
+  void shed_queue();
   // Durable sheds leave an auditable trace beside the log segments.
   void append_shed_sidecar(std::uint64_t first, std::uint64_t last);
   // True when a partial frame is mid-wire (no other bytes may interleave).
-  bool partial_in_flight() const;
-  // Drives any partial frame to completion (bounded); direct writes
-  // (handshake replies, replay) are only legal once this succeeds.
+  bool partial_in_flight() const {
+    return tx_cursor_ > 0 || control_cursor_ > 0;
+  }
+  // Drives a part-written frame alone to completion (bounded); direct
+  // writes (handshake replies, replay) are only legal once this succeeds.
   Status flush_partials(int budget_ms);
   void reset_partial_cursors();
   bool liveness_stale() const {
@@ -565,11 +596,24 @@ class MessageSession {
   std::vector<IoSlice> send_slices_;
   std::vector<std::uint8_t> recv_frame_;
   std::array<std::uint8_t, 9> record_head_{};  // [tag | u64 LE seq]
-  // Send-side sequencing and the bounded replay window.
+  // Send-side sequencing.
   std::uint64_t next_seq_ = 1;
   std::uint64_t peer_acked_seq_ = 0;
-  std::deque<ReplayEntry> replay_;
-  std::size_t replay_bytes_ = 0;
+  // The outgoing ring, for resumable or flow-controlled sessions: every
+  // accepted record frame, copied once, in sequence order. Slots
+  // [ring_head_, ring_tx_) are on the wire awaiting the peer's ack (the
+  // replay buffer and the byte-credit ledger); [ring_tx_, ring_end_) wait
+  // for credit (flow control only: other sessions transmit as they
+  // stage). Indices are absolute; ring_.size() is a power of two.
+  std::vector<OutFrame> ring_;
+  std::uint64_t ring_head_ = 0;
+  std::uint64_t ring_tx_ = 0;
+  std::uint64_t ring_end_ = 0;
+  std::size_t ring_bytes_ = 0;    // wire bytes of every slot held
+  std::size_t queued_bytes_ = 0;  // of the slots waiting for credit
+  std::size_t data_queue_records_ = 0;  // records waiting for credit
+  std::size_t tx_cursor_ = 0;  // bytes of slot ring_tx_ already written
+  std::vector<IoSlice> flush_slices_;  // the pump's batch; capacity reused
   // Receive-side dedup state.
   std::uint64_t last_seq_received_ = 0;
   // Identity and liveness.
@@ -590,24 +634,14 @@ class MessageSession {
   bool eviction_logged_ = false;
   std::uint64_t peer_durable_first_ = 0;
   std::uint64_t peer_durable_last_ = 0;
-  // Flow-control state. The data queue holds sequenced records (plus
-  // in-position shed notices); the control queue holds credit-exempt
-  // frames that may safely go out earlier than anything queued behind
-  // them. At most one frame across both queues (or the spill stream) is
-  // partially written at any time.
-  std::deque<QueuedFrame> control_queue_;
-  std::deque<QueuedFrame> send_queue_;
-  std::size_t data_queue_records_ = 0;
-  std::size_t data_queue_bytes_ = 0;
-  std::vector<std::uint8_t> spill_frame_;  // record re-read from the log
-  std::size_t spill_cursor_ = 0;
-  std::uint64_t spill_seq_ = 0;  // 0 = no spill frame in flight
+  // Flow-control state. The control queue holds credit-exempt wire
+  // frames that may safely go out ahead of the ring's queued data. At
+  // most one frame across the two is partially written at any time.
+  std::deque<std::vector<std::uint8_t>> control_queue_;
+  std::size_t control_cursor_ = 0;  // bytes of its front already written
   std::uint64_t next_transmit_seq_ = 1;  // next data seq owed to the wire
   std::uint64_t credit_seq_limit_ = 0;   // cumulative transmit allowance
   std::uint64_t credit_bytes_window_ = 0;
-  // Transmitted-but-unacked (seq, wire bytes): the byte-window ledger.
-  std::deque<std::pair<std::uint64_t, std::uint32_t>> inflight_;
-  std::uint64_t inflight_bytes_ = 0;
   std::uint64_t last_grant_ack_ = 0;  // receiver: ack in our last grant
   // Data/announce frames poll_control() pulled off the wire while a send
   // path was draining acks; receive_view consumes these first.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <span>
 #include <thread>
 
@@ -265,6 +266,123 @@ TEST(Channel, ArmedResetAbortsTcpConnection) {
   EXPECT_EQ(sent.code(), ErrorCode::kIoError);
   auto received = served.receive(500);
   EXPECT_FALSE(received.is_ok());  // RST or bare EOF, never a frame
+}
+
+// Whole frames in wire form ([u32 LE length | body]) for send_frames.
+std::vector<std::vector<std::uint8_t>> wire_frames(
+    std::initializer_list<std::size_t> body_sizes) {
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::size_t size : body_sizes) {
+    std::vector<std::uint8_t> wire(4 + size);
+    for (std::size_t i = 0; i < 4; ++i)
+      wire[i] = static_cast<std::uint8_t>(size >> (8 * i));
+    for (std::size_t i = 0; i < size; ++i)
+      wire[4 + i] = static_cast<std::uint8_t>(frames.size() * 31 + i);
+    frames.push_back(std::move(wire));
+  }
+  return frames;
+}
+
+std::vector<IoSlice> slices_of(
+    const std::vector<std::vector<std::uint8_t>>& frames) {
+  std::vector<IoSlice> slices;
+  for (const auto& wire : frames) slices.push_back({wire.data(), wire.size()});
+  return slices;
+}
+
+// The batch cursor: a send that would-blocked after any byte of a 3-frame
+// batch resumes from exactly that byte, and the peer reads 3 intact frames.
+TEST(Channel, SendFramesResumesAtEveryByteOffset) {
+  const auto frames = wire_frames({5, 0, 11});
+  const auto slices = slices_of(frames);
+  std::vector<std::uint8_t> stream;
+  for (const auto& wire : frames)
+    stream.insert(stream.end(), wire.begin(), wire.end());
+  for (std::size_t offset = 0; offset <= stream.size(); ++offset) {
+    auto [a, b] = Channel::pipe().value();
+    // The bytes an earlier, cut-short call already put on the wire.
+    if (offset > 0) {
+      ASSERT_TRUE(a.send_raw(std::span(stream).first(offset)).is_ok());
+    }
+    std::size_t cursor = offset;
+    ASSERT_TRUE(a.send_frames(slices, cursor).is_ok()) << "offset " << offset;
+    EXPECT_EQ(cursor, stream.size());
+    for (const auto& wire : frames) {
+      auto got = b.receive(500);
+      ASSERT_TRUE(got.is_ok()) << "offset " << offset;
+      EXPECT_TRUE(std::equal(got.value().begin(), got.value().end(),
+                             wire.begin() + 4, wire.end()))
+          << "offset " << offset;
+    }
+  }
+}
+
+// A real would-block: the socket fills mid-batch, send_frames reports
+// kUnavailable with the cursor inside the batch, and the same call
+// finishes it once the peer drains.
+TEST(Channel, SendFramesParksOneFrameWhenTheSocketFills) {
+  auto [a, b] = Channel::pipe().value();
+  constexpr std::size_t kBody = 1u << 20;  // far past a socket buffer
+  const auto frames = wire_frames({kBody, kBody, kBody});
+  const auto slices = slices_of(frames);
+  std::size_t cursor = 0;
+  const Status first = a.send_frames(slices, cursor);
+  ASSERT_EQ(first.code(), ErrorCode::kUnavailable) << first.to_string();
+  EXPECT_GT(cursor, 0u);
+  EXPECT_LT(cursor, 3 * (kBody + 4));
+  std::thread drain([&b = b, &frames] {
+    for (const auto& wire : frames) {
+      auto got = b.receive(5000);
+      ASSERT_TRUE(got.is_ok());
+      EXPECT_TRUE(std::equal(got.value().begin(), got.value().end(),
+                             wire.begin() + 4, wire.end()));
+    }
+  });
+  Status sent = first;
+  while (sent.code() == ErrorCode::kUnavailable) {
+    a.poll_writable(100);
+    sent = a.send_frames(slices, cursor);
+  }
+  EXPECT_TRUE(sent.is_ok()) << sent.to_string();
+  drain.join();
+  EXPECT_EQ(a.messages_sent(), 3u);
+  EXPECT_EQ(a.bytes_sent(), 3 * (kBody + 4));
+}
+
+// The batched flush's point: a credit burst of 64 frames is one syscall,
+// while messages_sent() still counts frames.
+TEST(Channel, CreditBurstCostsOneSendmsg) {
+  auto [a, b] = Channel::pipe().value();
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (int i = 0; i < 64; ++i) frames.push_back(wire_frames({139}).front());
+  const auto slices = slices_of(frames);
+  std::size_t cursor = 0;
+  ASSERT_TRUE(a.send_frames(slices, cursor).is_ok());
+  EXPECT_EQ(a.sendmsg_calls(), 1u);
+  EXPECT_EQ(a.messages_sent(), 64u);
+  EXPECT_EQ(a.bytes_sent(), 64u * 143u);
+  for (int i = 0; i < 64; ++i) ASSERT_EQ(b.receive(500).value().size(), 139u);
+}
+
+// The armed-failure seam cuts a batch at its exact byte, not per frame.
+TEST(Channel, ArmedKillCutsABatchAtExactByte) {
+  const auto frames = wire_frames({5, 7, 9});
+  const auto slices = slices_of(frames);
+  for (std::size_t budget : {0u, 3u, 9u, 10u, 22u, 31u}) {
+    auto [a, b] = Channel::pipe().value();
+    a.arm_failure(InjectedFailure::kKillAfterBytes, budget);
+    std::size_t cursor = 0;
+    EXPECT_EQ(a.send_frames(slices, cursor).code(), ErrorCode::kIoError);
+    EXPECT_FALSE(a.is_open());
+    std::size_t whole = 0, end = 0;
+    for (const auto& wire : frames)
+      if ((end += wire.size()) <= budget) ++whole;
+    for (std::size_t i = 0; i < whole; ++i)
+      EXPECT_TRUE(b.receive(500).is_ok()) << "budget " << budget;
+    auto rest = b.receive(500);
+    ASSERT_FALSE(rest.is_ok()) << "budget " << budget;
+    EXPECT_EQ(b.bytes_received(), budget);
+  }
 }
 
 TEST(Endpoint, TcpDialReachesListener) {

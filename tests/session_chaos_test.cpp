@@ -295,6 +295,99 @@ TEST(SessionChaos, TcpKillAndRstSubset) {
   }
 }
 
+// The batched flush under the per-byte kill. A resumable flow-controlled
+// TCP pair queues a burst before any credit has arrived; the receiver's
+// first grant then releases the whole burst in one gather write, armed to
+// die after `kill_at` of its bytes. After the redial and attach, every
+// record arrives exactly once, in order. Returns the burst's wire bytes.
+std::size_t run_fc_burst(bool armed, std::size_t kill_at) {
+  constexpr int kBurst = 6;
+  pbio::FormatRegistry registry_a, registry_b;
+  SessionOptions options = quiet_options();
+  options.flow_control = true;
+  auto tcp = make_session_tcp(registry_a, registry_b, options);
+  EXPECT_TRUE(tcp.is_ok()) << tcp.status().to_string();
+  if (!tcp.is_ok()) return 0;
+  auto& pair = tcp.value();
+  std::atomic<bool> stop{false};
+  std::thread acceptor([&] {
+    while (!stop.load()) {
+      auto accepted = pair.listener.accept(2);
+      if (accepted.is_ok()) pair.b.attach(std::move(accepted).value());
+    }
+  });
+
+  auto format = chaos_a(registry_a);
+  auto encoder = pbio::Encoder::make(format).value();
+  for (int i = 0; i < kBurst; ++i) {
+    ChaosA record{i};
+    EXPECT_TRUE(pair.a.send(encoder, &record).is_ok());
+  }
+  EXPECT_EQ(pair.a.send_queue_depth(), static_cast<std::size_t>(kBurst));
+  (void)pair.a.receive_view(0);  // the sender's own first grant goes out
+  const std::size_t before = pair.a.channel().bytes_sent();
+  const std::size_t calls = pair.a.channel().sendmsg_calls();
+  if (armed)
+    pair.a.channel().arm_failure(net::InjectedFailure::kKillAfterBytes,
+                                 kill_at);
+
+  std::vector<std::int32_t> got;
+  const auto receive = [&](int timeout_ms) {
+    auto incoming = pair.b.receive_view(timeout_ms);
+    if (incoming.is_ok())
+      got.push_back(record_id(incoming.value()));
+    else
+      EXPECT_EQ(incoming.code(), ErrorCode::kTimeout)
+          << incoming.status().to_string();
+  };
+  // The grant reaches the sender, whose next pump flushes (or dies).
+  for (int spins = 0; spins < 2000 && pair.a.channel().is_open() &&
+                      pair.a.send_queue_depth() > 0;
+       ++spins) {
+    receive(0);
+    (void)pair.a.receive_view(1);
+  }
+  std::size_t burst_bytes = pair.a.channel().bytes_sent() - before;
+  if (!armed) {
+    EXPECT_EQ(pair.a.channel().sendmsg_calls(), calls + 1) << "one batch";
+  } else if (!pair.a.channel().is_open()) {
+    EXPECT_TRUE(pair.a.connect_now().is_ok());
+  }
+  for (int spins = 0;
+       spins < 500 && got.size() < static_cast<std::size_t>(kBurst);
+       ++spins) {
+    receive(5);
+    (void)pair.a.receive_view(0);
+  }
+  stop.store(true);
+  acceptor.join();
+
+  EXPECT_EQ(got.size(), static_cast<std::size_t>(kBurst))
+      << "kill_at=" << kill_at;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(got[i], static_cast<std::int32_t>(i)) << "kill_at=" << kill_at;
+  if (armed) {
+    EXPECT_GE(pair.a.transport_losses(), 1u);
+  }
+  pair.a.close();
+  pair.b.close();
+  return burst_bytes;
+}
+
+TEST(SessionChaos, FlowControlledBurstKillMatrixOverTcp) {
+  const std::size_t total = run_fc_burst(/*armed=*/false, 0);
+  if (HasFailure()) return;
+  ASSERT_GT(total, 0u);
+  for (std::size_t k = 0; k < total; ++k) {
+    run_fc_burst(/*armed=*/true, k);
+    if (HasFailure()) {
+      ADD_FAILURE() << "matrix stopped at kill offset " << k << " of "
+                    << total;
+      return;
+    }
+  }
+}
+
 TEST(SessionChaos, AcceptThenHangTriggersLivenessTimeout) {
   // The "process alive, application wedged" persona: the peer accepts
   // the reconnect but never speaks. The liveness deadline must convert

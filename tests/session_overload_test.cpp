@@ -37,6 +37,7 @@
 
 #include "common/clock.hpp"
 #include "net/faults.hpp"
+#include "pbio/dynrecord.hpp"
 #include "session/session.hpp"
 
 namespace xmit::session {
@@ -314,6 +315,112 @@ TEST(SessionOverload, DisconnectSeversInsteadOfBuffering) {
           << result.last_rejection.to_string();
     }
   }
+}
+
+// Regression: a resumable flow-controlled session under default options
+// used to evict unacked records while its consumer was merely slow — the
+// queue watermark (192) plus the credit window (128) exceeds
+// replay_buffer_records (256) — so a resume after that reported kDataLoss.
+// Now the SlowConsumerPolicy fires at the replay bound instead: nothing
+// accepted leaves memory before its ack unless a durable log covers it.
+TEST(SessionOverload, ResumableFlowControlNeverEvictsUnackedRecords) {
+  pbio::FormatRegistry sender_registry, receiver_registry;
+  SessionOptions options;
+  options.flow_control = true;
+  options.resumable = true;
+  options.send_block_deadline_ms = 50;
+  auto pair =
+      make_session_pipe(sender_registry, receiver_registry, options).value();
+  ASSERT_EQ(pair.b.receive_view(0).code(), ErrorCode::kTimeout);  // credit
+
+  auto format = sample_format(sender_registry);
+  auto encoder = pbio::Encoder::make(format).value();
+  std::vector<float> series(kSeriesLength, 0.5f);
+  Sample record{0, static_cast<std::int32_t>(kSeriesLength), series.data()};
+  std::size_t accepted = 0;
+  Status refused;
+  for (int i = 0; i < 400 && refused.is_ok(); ++i) {
+    record.id = i;
+    refused = pair.a.send(encoder, &record);
+    if (refused.is_ok()) ++accepted;
+  }
+  EXPECT_EQ(refused.code(), ErrorCode::kResourceExhausted)
+      << refused.to_string();
+  EXPECT_EQ(pair.a.evicted_records(), 0u);
+  EXPECT_LE(accepted, options.replay_buffer_records);
+
+  // Every accepted record is still deliverable, in order.
+  std::vector<std::int64_t> got;
+  for (int spins = 0; spins < 1000 && got.size() < accepted; ++spins) {
+    (void)pair.a.receive_view(0);  // absorbs grants, pumps the ring
+    auto incoming = pair.b.receive_view(20);
+    if (!incoming.is_ok()) {
+      ASSERT_EQ(incoming.code(), ErrorCode::kTimeout)
+          << incoming.status().to_string();
+      continue;
+    }
+    auto reader = pbio::RecordReader::make(incoming.value().bytes,
+                                           incoming.value().sender_format)
+                      .value();
+    got.push_back(reader.get_int("id").value());
+  }
+  ASSERT_EQ(got.size(), accepted);
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(got[i], static_cast<std::int64_t>(i));
+}
+
+// kShedOldest on a resumable session with no durable log. Shedding frees
+// only queued records, so once the unacked in-flight frames (and the
+// notices that took the place of shed runs) fill the replay bound, the
+// send is refused; an unacked record is never evicted. Every accepted
+// record is still accounted for: delivered + shed == accepted.
+TEST(SessionOverload, ResumableShedOldestRefusesAtTheReplayBound) {
+  pbio::FormatRegistry sender_registry, receiver_registry;
+  SessionOptions options;
+  options.flow_control = true;
+  options.resumable = true;
+  options.slow_consumer = SlowConsumerPolicy::kShedOldest;
+  options.receive_window_records = 200;  // credit for most of the bound
+  options.send_queue_records = 64;       // sheds long before it fills
+  auto pair =
+      make_session_pipe(sender_registry, receiver_registry, options).value();
+  ASSERT_EQ(pair.b.receive_view(0).code(), ErrorCode::kTimeout);  // credit
+
+  auto format = sample_format(sender_registry);
+  auto encoder = pbio::Encoder::make(format).value();
+  std::vector<float> series(kSeriesLength, 0.5f);
+  Sample record{0, static_cast<std::int32_t>(kSeriesLength), series.data()};
+  std::size_t accepted = 0;
+  Status refused;
+  for (int i = 0; i < 2000 && refused.is_ok(); ++i) {
+    record.id = i;
+    refused = pair.a.send(encoder, &record);
+    if (refused.is_ok()) ++accepted;
+  }
+  EXPECT_EQ(refused.code(), ErrorCode::kResourceExhausted)
+      << refused.to_string();
+  EXPECT_GT(pair.a.records_shed(), 0u);
+  EXPECT_EQ(pair.a.evicted_records(), 0u);
+  ASSERT_LE(pair.a.records_shed(), accepted);
+
+  const std::size_t survivors = accepted - pair.a.records_shed();
+  std::vector<std::int64_t> got;
+  for (int spins = 0; spins < 1000 && got.size() < survivors; ++spins) {
+    (void)pair.a.receive_view(0);  // absorbs grants, pumps the ring
+    auto incoming = pair.b.receive_view(20);
+    if (!incoming.is_ok()) {
+      ASSERT_EQ(incoming.code(), ErrorCode::kTimeout)
+          << incoming.status().to_string();
+      continue;
+    }
+    auto reader = pbio::RecordReader::make(incoming.value().bytes,
+                                           incoming.value().sender_format)
+                      .value();
+    got.push_back(reader.get_int("id").value());
+  }
+  EXPECT_EQ(got.size(), survivors);
+  EXPECT_EQ(pair.b.peer_shed_records(), pair.a.records_shed());
+  for (std::size_t i = 1; i < got.size(); ++i) EXPECT_LT(got[i - 1], got[i]);
 }
 
 // Satellite regression: the liveness blind spot. Before the channel send

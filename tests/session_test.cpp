@@ -2,6 +2,8 @@
 // in-band exactly once, receivers need no schema, evolution re-announces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <span>
 #include <thread>
 
@@ -448,6 +450,74 @@ TEST(Session, BidirectionalTraffic) {
     EXPECT_EQ(ack.id, i);
   }
   responder.join();
+}
+
+// A flow-controlled reader that stops reading mid-burst (its read budget
+// runs out inside a frame) fills the socket under the sender's batched
+// flush, which parks the frame it cut at its cursor. Once the reader
+// drains, every record arrives, in order and intact.
+TEST(Session, FlowControlledReaderStallsMidBurstThenDrains) {
+  pbio::FormatRegistry a_registry, b_registry;
+  SessionOptions options;
+  options.flow_control = true;
+  auto pair = make_session_pipe(a_registry, b_registry, options).value();
+  auto format = reading_format(a_registry);
+  auto encoder = pbio::Encoder::make(format).value();
+  constexpr int kRecords = 64;
+  constexpr std::int32_t kSeries = 4096;  // ~16 KiB per record
+  ASSERT_EQ(pair.b.receive_view(0).code(), ErrorCode::kTimeout);  // credit
+  pair.b.channel().stall_reads_after(100000);  // inside the 7th record
+
+  std::thread sender([&] {
+    std::vector<float> series(kSeries);
+    char site[] = "stall";
+    for (int i = 0; i < kRecords; ++i) {
+      std::fill(series.begin(), series.end(), static_cast<float>(i));
+      Reading reading{i, kSeries, series.data(), site};
+      if (!pair.a.send(encoder, &reading).is_ok()) return;
+    }
+    // Only the sender's own calls pump its queue.
+    for (int spins = 0; spins < 2000 && pair.a.send_queue_depth() > 0; ++spins)
+      (void)pair.a.receive_view(5);
+  });
+
+  pbio::Decoder decoder(b_registry);
+  Arena arena;
+  std::vector<int> got;
+  const auto take = [&](MessageSession::IncomingView incoming) {
+    Reading out{};
+    arena.rewind();
+    ASSERT_TRUE(decoder
+                    .decode(incoming.bytes, *incoming.sender_format, &out,
+                            arena)
+                    .is_ok());
+    ASSERT_EQ(out.n, kSeries);
+    EXPECT_EQ(out.series[0], static_cast<float>(out.id));
+    EXPECT_EQ(out.series[kSeries - 1], static_cast<float>(out.id));
+    got.push_back(out.id);
+  };
+  for (;;) {
+    auto incoming = pair.b.receive_view(2000);
+    if (!incoming.is_ok()) {
+      EXPECT_EQ(incoming.code(), ErrorCode::kResourceExhausted)
+          << incoming.status().to_string();
+      break;
+    }
+    take(incoming.value());
+  }
+  EXPECT_LT(got.size(), static_cast<std::size_t>(kRecords));
+  // Let the sender run into the full socket, then read on.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  pair.b.channel().stall_reads_after(static_cast<std::size_t>(-1));
+  while (got.size() < static_cast<std::size_t>(kRecords)) {
+    auto incoming = pair.b.receive_view(2000);
+    ASSERT_TRUE(incoming.is_ok()) << incoming.status().to_string();
+    take(incoming.value());
+  }
+  sender.join();
+  for (int i = 0; i < kRecords; ++i)
+    EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
+  EXPECT_EQ(pair.a.send_queue_depth(), 0u);
 }
 
 // ---- resumption-layer semantics over hand-built frames -----------------

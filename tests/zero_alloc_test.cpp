@@ -3,29 +3,43 @@
 // of a record touches the heap zero times. Global operator new/delete are
 // replaced with counting shims; counting is switched on only inside the
 // measured window so the test harness's own allocations don't register.
+// The shims also keep a running total of live heap bytes.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <new>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/arena.hpp"
 #include "pbio/encode.hpp"
 #include "pbio/registry.hpp"
 #include "session/session.hpp"
+#include "storage/log.hpp"
 
 namespace {
 
 std::atomic<std::size_t> g_allocations{0};
 std::atomic<bool> g_counting{false};
+std::atomic<std::size_t> g_heap_bytes{0};  // live, as malloc sized them
 
 void* counted_alloc(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed))
     g_allocations.fetch_add(1, std::memory_order_relaxed);
   void* p = std::malloc(size ? size : 1);
   if (p == nullptr) throw std::bad_alloc();
+  g_heap_bytes.fetch_add(::malloc_usable_size(p), std::memory_order_relaxed);
   return p;
+}
+
+void counted_free(void* p) {
+  if (p != nullptr)
+    g_heap_bytes.fetch_sub(::malloc_usable_size(p), std::memory_order_relaxed);
+  std::free(p);
 }
 
 }  // namespace
@@ -39,6 +53,7 @@ void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
   std::size_t rounded = (size + a - 1) / a * a;  // aligned_alloc contract
   void* p = std::aligned_alloc(a, rounded ? rounded : a);
   if (p == nullptr) throw std::bad_alloc();
+  g_heap_bytes.fetch_add(::malloc_usable_size(p), std::memory_order_relaxed);
   return p;
 }
 
@@ -52,17 +67,17 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return counted_aligned_alloc(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace xmit {
@@ -179,10 +194,41 @@ TEST(ZeroAlloc, PlainSessionBurstAllocatesNothingAfterWarmup) {
   EXPECT_EQ(g_allocations.load(), 0u) << "steady-state burst touched the heap";
 }
 
+// Sends `count` records from `pair.a`, each received by `pair.b`, and
+// returns how many heap allocations the send() calls alone made.
+std::uint64_t count_send_allocs(session::SessionPair& pair,
+                                const Encoder& encoder, Flat& record,
+                                int count) {
+  std::uint64_t send_allocs = 0;
+  for (int i = 0; i < count; ++i) {
+    record.a += 1;
+    g_allocations.store(0);
+    g_counting.store(true);
+    const bool sent = pair.a.send(encoder, &record).is_ok();
+    g_counting.store(false);
+    send_allocs += g_allocations.load();
+    EXPECT_TRUE(sent);
+    EXPECT_TRUE(pair.b.receive_view(1000).is_ok());
+  }
+  return send_allocs;
+}
+
+// Warm-up for a flow-controlled pair: seed credit both ways, announce,
+// and move enough records that every slot of the sender's ring has held
+// one (the ring and its slot buffers are then at their working size).
+void warm_flow_controlled(session::SessionPair& pair, const Encoder& encoder,
+                          Flat& record) {
+  for (MessageSession* end : {&pair.b, &pair.a})
+    ASSERT_EQ(end->receive_view(0).code(), ErrorCode::kTimeout);
+  (void)count_send_allocs(pair, encoder, record, 300);
+  (void)pair.a.receive_view(0);  // absorb the grants sent so far
+}
+
 // A flow-controlled session pulls inbound frames on every receive and on
 // every send (acks and credit ride back unannounced). When nothing is
 // waiting, that pull must not touch the heap: no buffer to fill, and no
-// message for the would-block outcome.
+// message for the would-block outcome. A send copies its record once, into
+// a recycled ring slot, so once warm it allocates nothing either.
 TEST(ZeroAlloc, FlowControlledIdlePullAllocatesNothing) {
   FormatRegistry reg_a;
   FormatRegistry reg_b;
@@ -193,15 +239,7 @@ TEST(ZeroAlloc, FlowControlledIdlePullAllocatesNothing) {
       reg_a.register_format("Flat", flat_fields(), sizeof(Flat)).value();
   auto encoder = Encoder::make(format_a).value();
   Flat record{0, 0.5f, 0, 0};
-
-  // Warm-up: seed credit both ways, announce, move a few records.
-  for (MessageSession* end : {&pair.b, &pair.a})
-    ASSERT_EQ(end->receive_view(0).code(), ErrorCode::kTimeout);
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(pair.a.send(encoder, &record).is_ok());
-    ASSERT_TRUE(pair.b.receive_view(1000).is_ok());
-  }
-  (void)pair.a.receive_view(0);  // absorb the grants sent so far
+  warm_flow_controlled(pair, encoder, record);
 
   g_allocations.store(0);
   g_counting.store(true);
@@ -215,22 +253,42 @@ TEST(ZeroAlloc, FlowControlledIdlePullAllocatesNothing) {
   EXPECT_TRUE(all_idle);
   EXPECT_EQ(g_allocations.load(), 0u) << "an idle receive touched the heap";
 
-  // A send copies its record into the send queue (one buffer, plus the
-  // queue's occasional node); the inbound pull it runs first adds nothing.
-  // It used to add two messages per send for "nothing to receive yet".
-  constexpr std::uint64_t kSends = 64;
-  std::uint64_t send_allocs = 0;
-  for (std::uint64_t i = 0; i < kSends; ++i) {
-    record.a += 1;
-    g_allocations.store(0);
-    g_counting.store(true);
-    const bool sent = pair.a.send(encoder, &record).is_ok();
-    g_counting.store(false);
-    send_allocs += g_allocations.load();
-    ASSERT_TRUE(sent);
-    ASSERT_TRUE(pair.b.receive_view(1000).is_ok());
+  EXPECT_EQ(count_send_allocs(pair, encoder, record, 64), 0u)
+      << "a warm flow-controlled send touched the heap";
+}
+
+// The durable flavour: the write-ahead append reuses the log's scratch,
+// and the record's one copy lands in a recycled ring slot.
+TEST(ZeroAlloc, DurableFlowControlledSendAllocatesNothing) {
+  char dir[] = "/tmp/xmit_zero_alloc_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir), nullptr);
+  struct RemoveDir {
+    const char* path;
+    ~RemoveDir() { std::filesystem::remove_all(path); }
+  } remove_dir{dir};
+  {
+    FormatRegistry reg_a;
+    FormatRegistry reg_b;
+    session::SessionOptions options;
+    options.flow_control = true;
+    auto pipe = net::Channel::pipe().value();
+    session::SessionOptions sender_options = options;
+    sender_options.durable_dir = dir;
+    sender_options.durable_fsync = storage::FsyncPolicy::kNone;
+    session::SessionPair pair{
+        MessageSession(std::move(pipe.first), reg_a, sender_options),
+        MessageSession(std::move(pipe.second), reg_b, options)};
+    ASSERT_TRUE(pair.a.durable_status().is_ok());
+    auto format_a =
+        reg_a.register_format("Flat", flat_fields(), sizeof(Flat)).value();
+    auto encoder = Encoder::make(format_a).value();
+    Flat record{0, 0.5f, 0, 0};
+    warm_flow_controlled(pair, encoder, record);
+
+    EXPECT_EQ(count_send_allocs(pair, encoder, record, 64), 0u)
+        << "a warm durable send touched the heap";
+    EXPECT_EQ(pair.a.durable_last_seq(), 364u);
   }
-  EXPECT_LE(send_allocs, kSends + kSends / 4);
 }
 
 // Var-bearing record: payload slices ship from caller memory, the decode
@@ -293,6 +351,63 @@ TEST(ZeroAlloc, DynamicArrayRoundTripAllocatesNothingAfterWarmup) {
 }
 
 // Arena::rewind keeps capacity and collapses multi-chunk arenas.
+// The ring recycles its slot buffers, but not without limit: a resumable
+// sender that ships one outsized record among hundreds of small ones must
+// not keep that record's buffer in every slot the indices cycle through.
+// What stays on the heap after the stream is bounded by the configured
+// replay and queue byte bounds, not by the sum of every large record.
+TEST(ZeroAlloc, OutsizedRecordsDoNotPinRingMemory) {
+  for (const bool flow_control : {false, true}) {
+    FormatRegistry reg_a;
+    FormatRegistry reg_b;
+    session::SessionOptions options;
+    options.resumable = true;
+    options.flow_control = flow_control;
+    auto pair = make_session_pipe(reg_a, reg_b, options).value();
+    std::vector<IOField> fields = {
+        {"timestep", "integer", 4, offsetof(WithArray, timestep)},
+        {"size", "integer", 4, offsetof(WithArray, size)},
+        {"data", "float[size]", 4, offsetof(WithArray, data)},
+    };
+    auto format_a =
+        reg_a.register_format("WithArray", fields, sizeof(WithArray)).value();
+    auto encoder = Encoder::make(format_a).value();
+    std::vector<float> small(4, 0.5f);
+    std::vector<float> large(128 * 1024, 0.25f);  // a 512 KiB record
+
+    // Every 101st record is large; 101 is odd, so the large ones land in
+    // distinct slots of a power-of-two ring. (Without flow control nothing
+    // acks, so that ring evicts at its bound and warns once.)
+    constexpr int kLargeEvery = 101;
+    constexpr int kSends = kLargeEvery * 96;
+    std::atomic<int> received{0};
+    std::thread reader([&] {
+      while (received.load() < kSends && pair.b.receive_view(2000).is_ok())
+        received.fetch_add(1);
+    });
+    const std::size_t before = g_heap_bytes.load();
+    WithArray record{0, 0, nullptr};
+    for (int i = 0; i < kSends; ++i) {
+      const std::vector<float>& data = i % kLargeEvery == 0 ? large : small;
+      record.timestep = i;
+      record.size = static_cast<std::int32_t>(data.size());
+      record.data = const_cast<float*>(data.data());
+      const Status sent = pair.a.send(encoder, &record);
+      ASSERT_TRUE(sent.is_ok()) << sent.to_string();
+    }
+    // Flow control holds the tail back for credit: keep pumping it.
+    for (int spins = 0; spins < 5000 && received.load() < kSends; ++spins)
+      (void)pair.a.receive_view(1);
+    reader.join();
+    EXPECT_EQ(received.load(), kSends);
+    const std::size_t after = g_heap_bytes.load();
+    const std::size_t grown = after > before ? after - before : 0;
+    EXPECT_LT(grown, options.replay_buffer_bytes + options.send_queue_bytes)
+        << "flow_control=" << flow_control << ": " << grown
+        << " heap bytes still held after the stream";
+  }
+}
+
 TEST(ZeroAlloc, ArenaRewindRetainsCapacity) {
   Arena arena(64);  // small chunks force multi-chunk growth
   for (int i = 0; i < 10; ++i) arena.allocate(100);
