@@ -204,8 +204,7 @@ Status MessageSession::announce_for_replay(pbio::FormatId id,
 Status MessageSession::stream_from_log(std::uint64_t from, std::uint64_t to) {
   if (log_ == nullptr || log_->empty() || from > to) return Status::ok();
   // Direct writes: a partial frame mid-wire must complete first.
-  if (options_.flow_control)
-    XMIT_RETURN_IF_ERROR(flush_partials(options_.liveness_deadline_ms));
+  XMIT_RETURN_IF_ERROR(flush_partials());
   auto cursor = log_->read_from(from);
   storage::RecordLog::Item item;
   for (;;) {
@@ -232,15 +231,15 @@ Status MessageSession::request_replay(std::uint64_t from_seq) {
   if (!channel_.is_open())
     return Status(ErrorCode::kIoError,
                   "no transport to request a replay on");
-  if (options_.flow_control)
-    XMIT_RETURN_IF_ERROR(flush_partials(options_.liveness_deadline_ms));
   // Rewind the dedup window so the historical records are delivered
   // instead of being reported as an already-seen range or a gap.
   if (last_seq_received_ >= from_seq) last_seq_received_ = from_seq - 1;
   std::uint8_t frame[1 + kSeqBytes];
   frame[0] = kTagReplayRequest;
   store_with_order<std::uint64_t>(frame + 1, from_seq, ByteOrder::kLittle);
-  return channel_.send(std::span<const std::uint8_t>(frame, sizeof(frame)));
+  queue_control(std::span<const std::uint8_t>(frame, sizeof(frame)),
+                /*droppable=*/false);
+  return pump_send_queue();
 }
 
 void MessageSession::set_limits(const DecodeLimits& limits) {
@@ -286,7 +285,11 @@ void MessageSession::install_pending_attach() {
   if (!pending.has_value()) return;
   channel_ = std::move(*pending);
   configure_transport();
-  reset_partial_cursors();
+  drop_transport_queue();
+  // The peer that dialed this transport opens with its resume handshake;
+  // a passive session's ring waits for it (and the replay it triggers),
+  // or fresh frames would overtake the ones the old transport lost.
+  resume_pending_ = !active();
   ++reconnects_;
   last_inbound_ms_ = clock_.elapsed_ms();
   transport_lost_ms_ = -1;
@@ -297,7 +300,7 @@ void MessageSession::note_transport_lost() {
   // failure racing a receive failure on the same death) is one loss.
   if (!channel_.is_open() && transport_lost_ms_ >= 0) return;
   channel_.close();
-  reset_partial_cursors();
+  drop_transport_queue();
   ++transport_losses_;
   transport_lost_ms_ = clock_.elapsed_ms();
 }
@@ -310,11 +313,14 @@ void MessageSession::configure_transport() {
     channel_.set_send_deadline(options_.liveness_deadline_ms);
 }
 
-void MessageSession::reset_partial_cursors() {
-  // Partially written frames died with the transport; they retransmit in
-  // full (and re-frame cleanly) on whatever channel comes next.
+void MessageSession::drop_transport_queue() {
+  // A ring frame the dead transport cut short retransmits in full (and
+  // re-frames cleanly) on whatever channel comes next. Queued control
+  // frames are stale there: the resume re-announces every format the
+  // peer's ack does not cover, and re-grants credit.
   tx_cursor_ = 0;
   control_cursor_ = 0;
+  control_queue_.clear();
 }
 
 Status MessageSession::ready_to_send() {
@@ -384,7 +390,7 @@ Status MessageSession::reconnect(int budget_ms) {
     }
     channel_ = std::move(dialed).value();
     configure_transport();
-    reset_partial_cursors();
+    drop_transport_queue();
     ++epoch_;
     if (epoch_ > 1) ++reconnects_;
     last_inbound_ms_ = clock_.elapsed_ms();
@@ -477,8 +483,7 @@ Status MessageSession::process_handshake(
     // Adopted identity hits the disk before we answer for it.
     if (identity_changed) XMIT_RETURN_IF_ERROR(persist_meta());
     // The reply is a direct write: clear any half-sent frame first.
-    if (options_.flow_control)
-      XMIT_RETURN_IF_ERROR(flush_partials(options_.liveness_deadline_ms));
+    XMIT_RETURN_IF_ERROR(flush_partials());
     XMIT_RETURN_IF_ERROR(send_handshake(/*initiate=*/false));
     XMIT_RETURN_IF_ERROR(send_durable_advert());
     // The drop cut both directions: replay our own unacked frames too.
@@ -491,7 +496,7 @@ Status MessageSession::process_handshake(
 
 Status MessageSession::replay_unacked() {
   // Direct writes below; nothing may interleave with a half-sent frame.
-  XMIT_RETURN_IF_ERROR(flush_partials(options_.liveness_deadline_ms));
+  XMIT_RETURN_IF_ERROR(flush_partials());
   // Announcements the peer's ack does not cover may never have arrived;
   // un-mark them so they go out again ahead of the frames that need them.
   // Formats the *peer* announced have no announce_seq_ entry and stay.
@@ -519,6 +524,7 @@ Status MessageSession::replay_unacked() {
   }
   XMIT_RETURN_IF_ERROR(stream_from_log(next, next_seq_ - 1));
   hand_off_queue();
+  resume_pending_ = false;
   return Status::ok();
 }
 
@@ -546,19 +552,15 @@ void MessageSession::send_ack_frame(std::uint8_t tag) {
   frame[0] = tag;
   store_with_order<std::uint64_t>(frame + 1, last_seq_received_,
                                   ByteOrder::kLittle);
-  const std::span<const std::uint8_t> bytes(frame, sizeof(frame));
-  if (options_.flow_control) {
-    // The control queue keeps heartbeats flowing even while a data frame
-    // is parked mid-wire; a full queue drops the frame (a fresher one
-    // always follows). A ping doubles as a credit probe: the pong that
-    // answers it comes with a fresh grant.
-    enqueue_control(bytes, /*droppable=*/true);
-    if (tag == kTagPong) maybe_grant(/*force=*/true);
-    return;
-  }
-  Status sent = channel_.send(bytes);
-  if (!sent.is_ok() && resumable_ && !channel_.is_open())
-    note_transport_lost();
+  // The control queue keeps heartbeats flowing even while a data frame is
+  // parked mid-wire; a full queue drops the frame (a fresher one always
+  // follows). A ping doubles as a credit probe: the pong that answers it
+  // comes with a fresh grant. A failed write is left to the receive path
+  // that called us: its next read meets the dead transport.
+  queue_control(std::span<const std::uint8_t>(frame, sizeof(frame)),
+                /*droppable=*/true);
+  if (tag == kTagPong) maybe_grant(/*force=*/true);
+  (void)pump_send_queue();
 }
 
 MessageSession::OutFrame& MessageSession::ring_insert(std::uint64_t at) {
@@ -613,34 +615,6 @@ MessageSession::OutFrame& MessageSession::stage_record(
   }
   ring_bytes_ += size;
   return slot;
-}
-
-void MessageSession::buffer_for_replay(std::uint64_t seq,
-                                       pbio::FormatId format_id,
-                                       std::span<const IoSlice> payload) {
-  stage_record(ring_end_, seq, format_id, payload);
-  ring_tx_ = ring_end_;
-  // Bounded window: evicted frames are simply no longer replayable — a
-  // resume past them surfaces kDataLoss at the receiver, once. With a
-  // durable log the eviction is harmless (the disk covers the seq); an
-  // eviction *without* that cover is silent data-at-risk, so it is
-  // counted and warned about once per session.
-  while (ring_end_ - ring_head_ > options_.replay_buffer_records ||
-         ring_bytes_ > options_.replay_buffer_bytes) {
-    OutFrame& victim = ring_at(ring_head_++);
-    free_slot(victim);
-    if (victim.seq <= peer_acked_seq_ || log_covers(victim.seq)) continue;
-    ++evicted_records_;
-    if (!eviction_logged_) {
-      eviction_logged_ = true;
-      std::fprintf(stderr,
-                   "xmit session %" PRIu64
-                   ": replay buffer evicted unacked record seq %" PRIu64
-                   " with no durable log to recover it; a resume past "
-                   "this point will surface kDataLoss\n",
-                   session_id_, victim.seq);
-    }
-  }
 }
 
 // --- flow control ------------------------------------------------------
@@ -728,15 +702,16 @@ void MessageSession::maybe_grant(bool force) {
   store_with_order<std::uint64_t>(
       frame + 17, static_cast<std::uint64_t>(options_.receive_window_bytes),
       ByteOrder::kLittle);
-  if (enqueue_control(std::span<const std::uint8_t>(frame, sizeof(frame)),
-                      /*droppable=*/true)) {
+  if (queue_control(std::span<const std::uint8_t>(frame, sizeof(frame)),
+                    /*droppable=*/true)) {
     ++credit_grants_sent_;
     last_grant_ack_ = ack;
   }
+  (void)pump_send_queue();
 }
 
-bool MessageSession::enqueue_control(std::span<const std::uint8_t> frame,
-                                     bool droppable) {
+bool MessageSession::queue_control(std::span<const std::uint8_t> frame,
+                                   bool droppable) {
   // Droppable frames (heartbeats, grants) are always superseded by a
   // fresher copy, so a full control queue simply skips them; must-deliver
   // frames (announcements) ride past the cap — they are few and bounded
@@ -748,7 +723,6 @@ bool MessageSession::enqueue_control(std::span<const std::uint8_t> frame,
       wire.data(), static_cast<std::uint32_t>(frame.size()),
       ByteOrder::kLittle);
   std::memcpy(wire.data() + kLenBytes, frame.data(), frame.size());
-  pump_send_queue();
   return true;
 }
 
@@ -787,7 +761,7 @@ Status MessageSession::fc_receive_frame(std::vector<std::uint8_t>& out,
       return Status::ok();
     if (!failed.is_ok()) return failed;
     // Idle inbound: keep our own queue moving while we wait.
-    pump_send_queue();
+    (void)pump_send_queue();
     if (!channel_.is_open())
       return Status(ErrorCode::kIoError, "channel is closed");
     const int remaining = timeout_ms - static_cast<int>(budget.elapsed_ms());
@@ -797,10 +771,18 @@ Status MessageSession::fc_receive_frame(std::vector<std::uint8_t>& out,
   }
 }
 
-void MessageSession::pump_send_queue() {
-  if (!options_.flow_control) return;
+Status MessageSession::pump_send_queue(bool partial_only) {
+  // Flow control is the only thing that may leave frames queued: its
+  // credit gates the ring, and a socket that will not take the batch
+  // parks it for a later call. Without it the gate stands open and a full
+  // socket is waited out — as is a part-written frame the caller needs
+  // finished before a direct write.
+  const bool credit_gated = options_.flow_control;
+  const bool park = credit_gated && !partial_only;
+  const bool hold_ring = partial_only || resume_pending_;
+  double stalled_since = -1;
   while (channel_.is_open()) {  // a dead transport's ring waits for resume
-    if (!partial_in_flight()) {
+    if (!hold_ring && !partial_in_flight()) {
       // Records spilled to the log come back from disk into the transmit
       // slot, one at a time, under the same credit gates as fresh ones.
       const bool gap = ring_tx_ < ring_end_
@@ -808,10 +790,14 @@ void MessageSession::pump_send_queue() {
                                  ring_at(ring_tx_).seq > next_transmit_seq_
                            : next_transmit_seq_ < next_seq_;
       if (gap && spilled(next_transmit_seq_) &&
-          next_transmit_seq_ <= credit_seq_limit_ &&
-          !load_spill_frame(next_transmit_seq_).is_ok()) {
-        if (!channel_.is_open()) note_transport_lost();
-        return;
+          next_transmit_seq_ <= credit_seq_limit_) {
+        const Status loaded = load_spill_frame(next_transmit_seq_);
+        if (!loaded.is_ok()) {
+          // A log failure waits in durable_error_; the transport lives.
+          if (channel_.is_open()) return Status::ok();
+          note_transport_lost();
+          return loaded;
+        }
       }
     }
     // The batch: a part-written frame first (any other byte before its
@@ -832,13 +818,15 @@ void MessageSession::pump_send_queue() {
     if (tx_cursor_ > 0) take(tx_cursor_);
     std::size_t skip = control_cursor_;
     for (const std::vector<std::uint8_t>& wire : control_queue_) {
+      if (partial_only && skip == 0) break;
       flush_slices_.push_back({wire.data() + skip, wire.size() - skip});
       skip = 0;
     }
     const std::size_t controls_end = flush_slices_.size();
-    while (next < ring_end_) {
+    while (!hold_ring && next < ring_end_) {
       const OutFrame& frame = ring_at(next);
-      if (!is_notice(frame.wire)) {  // notices go in position, credit-exempt
+      if (credit_gated && !is_notice(frame.wire)) {
+        // Notices go in position, credit-exempt.
         if (frame.seq > owed && spilled(owed)) break;  // disk streams it first
         if (frame.seq > credit_seq_limit_) break;       // starved
         if (inflight > 0 &&
@@ -849,10 +837,10 @@ void MessageSession::pump_send_queue() {
       }
       take(0);
     }
-    if (flush_slices_.empty()) return;
+    if (flush_slices_.empty()) return Status::ok();
 
     std::size_t written = 0;
-    const Status sent = channel_.send_frames(flush_slices_, written);
+    Status sent = channel_.send_frames(flush_slices_, written);
     // Retire every frame now wholly on the wire; park the cursor in the
     // one the socket cut short.
     std::size_t k = 0;
@@ -873,11 +861,33 @@ void MessageSession::pump_send_queue() {
       control_queue_.pop_front();
     while (whole && k < flush_slices_.size() && (whole = finished(tx_cursor_)))
       retire_tx();
-    if (!sent.is_ok()) {
-      if (sent.code() != ErrorCode::kUnavailable) note_transport_lost();
-      return;
+    if (sent.is_ok()) continue;
+    if (sent.code() == ErrorCode::kUnavailable) {
+      if (park) return Status::ok();
+      // Wait for the socket, bounded like a blocking channel send: a peer
+      // that stops reading for the whole send deadline is dead.
+      const double now = clock_.elapsed_ms();
+      if (stalled_since < 0) stalled_since = now;
+      const int deadline = channel_.send_deadline_ms();
+      const int left =
+          deadline < 0 ? -1
+                       : deadline - static_cast<int>(now - stalled_since);
+      if (deadline < 0 || left > 0) {
+        channel_.poll_writable(left);
+        continue;
+      }
+      // A frame is cut mid-wire: the stream cannot be re-framed.
+      channel_.close();
+      sent = Status(ErrorCode::kTimeout,
+                    "channel send deadline elapsed (peer not reading)");
     }
+    // A closed transport is lost. One whose writes fail but which still
+    // reads (a peer that spoke last and half-closed) stays open for the
+    // receive path to drain; the send path's policy decides the rest.
+    if (!channel_.is_open()) note_transport_lost();
+    return sent;
   }
+  return Status::ok();
 }
 
 void MessageSession::retire_tx() {
@@ -942,7 +952,7 @@ void MessageSession::poll_control() {
           (void)note_malformed(st);
           continue;
         }
-        pump_send_queue();  // fresh credit may unblock the queue now
+        (void)pump_send_queue();  // fresh credit may unblock the queue now
         continue;
       }
       default:
@@ -967,9 +977,35 @@ bool MessageSession::queue_over_watermark(std::size_t incoming_bytes) const {
 }
 
 Status MessageSession::admit_record(std::size_t frame_bytes) {
-  if (!options_.flow_control) return Status::ok();
+  if (!options_.flow_control) {
+    // Nothing refuses a record here: a resumable session makes room in its
+    // bounded replay window by evicting from the front. Evicted frames are
+    // simply no longer replayable — a resume past them surfaces kDataLoss
+    // at the receiver, once. With a durable log the eviction is harmless
+    // (the disk covers the seq); an eviction *without* that cover is
+    // silent data-at-risk, so it is counted and warned about once.
+    while (resumable_ && ring_end_ > ring_head_ &&
+           (ring_end_ - ring_head_ + 1 > options_.replay_buffer_records ||
+            ring_bytes_ + frame_bytes > options_.replay_buffer_bytes)) {
+      if (ring_head_ == ring_tx_) retire_tx();  // evicted before it went out
+      OutFrame& victim = ring_at(ring_head_++);
+      free_slot(victim);
+      if (victim.seq <= peer_acked_seq_ || log_covers(victim.seq)) continue;
+      ++evicted_records_;
+      if (!eviction_logged_) {
+        eviction_logged_ = true;
+        std::fprintf(stderr,
+                     "xmit session %" PRIu64
+                     ": replay buffer evicted unacked record seq %" PRIu64
+                     " with no durable log to recover it; a resume past "
+                     "this point will surface kDataLoss\n",
+                     session_id_, victim.seq);
+      }
+    }
+    return Status::ok();
+  }
   poll_control();
-  pump_send_queue();
+  (void)pump_send_queue();
   const auto over = [&] {
     return queue_over_watermark(frame_bytes) || ring_full(frame_bytes);
   };
@@ -979,7 +1015,7 @@ Status MessageSession::admit_record(std::size_t frame_bytes) {
       Stopwatch wait;
       for (;;) {
         poll_control();
-        pump_send_queue();
+        (void)pump_send_queue();
         if (!over()) {
           send_block_ms_ += wait.elapsed_ms();
           return Status::ok();
@@ -1021,12 +1057,12 @@ Status MessageSession::admit_record(std::size_t frame_bytes) {
                       "send queue full and kSpillToLog has no healthy "
                       "durable log to fall back on");
       spill_queue();
-      pump_send_queue();
+      (void)pump_send_queue();
       return Status::ok();
     }
     case SlowConsumerPolicy::kShedOldest: {
       shed_queue();
-      pump_send_queue();
+      (void)pump_send_queue();
       // Shedding frees only queued records: one whose unacked in-flight
       // frames alone fill the replay bound still cannot take more.
       if (ring_full(frame_bytes))
@@ -1118,40 +1154,6 @@ void MessageSession::append_shed_sidecar(std::uint64_t first,
   std::fclose(sidecar);
 }
 
-Status MessageSession::flush_partials(int budget_ms) {
-  if (!options_.flow_control) return Status::ok();
-  Stopwatch budget;
-  while (partial_in_flight() && channel_.is_open()) {
-    const bool data = tx_cursor_ > 0;
-    std::size_t& cursor = data ? tx_cursor_ : control_cursor_;
-    const std::vector<std::uint8_t>& wire =
-        data ? ring_at(ring_tx_).wire : control_queue_.front();
-    const IoSlice tail{wire.data() + cursor, wire.size() - cursor};
-    std::size_t written = 0;
-    const Status sent = channel_.send_frames(std::span(&tail, 1), written);
-    cursor += written;
-    if (cursor == wire.size()) {
-      cursor = 0;
-      if (data)
-        retire_tx();
-      else
-        control_queue_.pop_front();
-      return Status::ok();
-    }
-    if (sent.code() != ErrorCode::kUnavailable) {
-      note_transport_lost();  // the cursors reset with the transport
-      return Status::ok();
-    }
-    const int remaining = budget_ms - static_cast<int>(budget.elapsed_ms());
-    if (remaining <= 0)
-      return Status(ErrorCode::kTimeout,
-                    "a partial frame could not be flushed within its "
-                    "budget (peer not reading)");
-    channel_.poll_writable(std::min(remaining, 20));
-  }
-  return Status::ok();
-}
-
 void MessageSession::note_queue_peaks() {
   send_queue_depth_peak_ = std::max(send_queue_depth_peak_,
                                     data_queue_records_);
@@ -1159,147 +1161,98 @@ void MessageSession::note_queue_peaks() {
 }
 
 Status MessageSession::queue_record(pbio::FormatId format_id,
-                                    std::span<const IoSlice> payload) {
+                                    std::span<IoSlice> slices) {
   if (!resumable_ && !channel_.is_open())
     return Status(ErrorCode::kIoError, "channel is closed");
+  const std::span<const IoSlice> payload = slices.subspan(1);
   std::size_t wire_bytes = kRecordWireHead;
   for (const IoSlice& slice : payload) wire_bytes += slice.size;
   // Admission precedes sequencing and the WAL: a rejected send consumes
   // no sequence number and leaves no log hole to misread as loss.
   XMIT_RETURN_IF_ERROR(admit_record(wire_bytes));
   const std::uint64_t seq = next_seq_++;
-  // Write-ahead: logged before the ring can hand it to the wire.
+  // Write-ahead: the record must be durable before it is transmitted — a
+  // send the log refused never reaches the wire.
   XMIT_RETURN_IF_ERROR(append_durable(seq, format_id, payload));
+  ++records_sent_;
+  if (!keeps_frames()) {
+    // Nothing is queued ahead of it, so the frame goes straight from the
+    // caller's slices in one sendmsg: no copy, for records of any size.
+    // A plain session gets a failed write's error as it is.
+    std::uint8_t head[1 + kSeqBytes];
+    head[0] = kTagRecord;
+    store_with_order<std::uint64_t>(head + 1, seq, ByteOrder::kLittle);
+    slices[0] = IoSlice{head, sizeof(head)};
+    return channel_.send_gather(slices);
+  }
   stage_record(ring_end_, seq, format_id, payload);
   ++data_queue_records_;
   queued_bytes_ += wire_bytes;
   note_queue_peaks();
-  ++records_sent_;
-  pump_send_queue();
-  return Status::ok();
+  return settle_send(pump_send_queue());
+}
+
+Status MessageSession::settle_send(Status written) {
+  if (written.is_ok() || !resumable_) return written;
+  note_transport_lost();
+  // Liveness blind spot, closed: a send that blew the channel's bounded
+  // send deadline means the peer stopped reading for a whole liveness
+  // window. If nothing arrived inbound either, the peer is dead, not
+  // slow — surface the same verdict a silent receive would have.
+  if (written.code() == ErrorCode::kTimeout && liveness_stale())
+    return Status(ErrorCode::kTimeout,
+                  "peer silent past the liveness deadline (send blocked "
+                  "past it with nothing inbound)");
+  if (active()) return reconnect(options_.liveness_deadline_ms);
+  return Status::ok();  // queued in the ring until the peer resumes
 }
 
 Status MessageSession::announce(const pbio::Format& format) {
-  for (;;) {
-    if (announced_.contains(format.id())) return Status::ok();
+  // An active session's reconnect un-marks formats the peer may have
+  // lost, so the loop announces again on the fresh transport.
+  while (!announced_.contains(format.id())) {
     XMIT_RETURN_IF_ERROR(ready_to_send());
     // Schema-ahead-of-data: the catalog entry is fsynced before any
     // record encoded with the format can reach the log or the wire, so
     // a restart can always re-announce what it replays.
     XMIT_RETURN_IF_ERROR(catalog_put(format));
+    announced_.insert(format.id());
+    announce_seq_[format.id()] = next_seq_;
+    // Passive and disconnected: the resume path re-announces anything
+    // past the peer's ack, so recording the intent is enough.
+    if (!channel_.is_open()) return Status::ok();
+    // The control queue puts the announcement ahead of every record that
+    // needs it (data waits on credit; control does not), without
+    // disturbing a partial frame mid-wire.
     ByteBuffer frame;
     frame.append_byte(kTagFormat);
     serialize_format(format, frame);
-    if (!channel_.is_open()) {
-      // Passive and disconnected: the resume path re-announces anything
-      // past the peer's ack, so just record intent.
-      announced_.insert(format.id());
-      announce_seq_[format.id()] = next_seq_;
-      return Status::ok();
-    }
-    if (options_.flow_control) {
-      // Queued, never dropped: the announcement rides the control queue
-      // ahead of the data that needs it (data waits on credit; control
-      // does not), without disturbing any partial frame mid-wire.
-      enqueue_control(frame.span(), /*droppable=*/false);
-      announced_.insert(format.id());
-      if (resumable_) announce_seq_[format.id()] = next_seq_;
-      ++announcements_sent_;
-      metadata_bytes_sent_ += frame.size();
-      return Status::ok();
-    }
-    Status sent = channel_.send(frame.span());
-    if (sent.is_ok()) {
-      announced_.insert(format.id());
-      if (resumable_) announce_seq_[format.id()] = next_seq_;
-      ++announcements_sent_;
-      metadata_bytes_sent_ += frame.size();
-      return Status::ok();
-    }
-    if (!resumable_) return sent;
-    note_transport_lost();
-    if (!active()) {
-      announced_.insert(format.id());
-      announce_seq_[format.id()] = next_seq_;
-      return Status::ok();
-    }
-    // Active: loop — ready_to_send reconnects, then the announcement is
-    // retried on the fresh transport.
+    queue_control(frame.span(), /*droppable=*/false);
+    ++announcements_sent_;
+    metadata_bytes_sent_ += frame.size();
+    XMIT_RETURN_IF_ERROR(settle_send(pump_send_queue()));
   }
-}
-
-Status MessageSession::transmit_record(std::span<const IoSlice> slices) {
-  if (!channel_.is_open()) {
-    if (resumable_ && !active()) {
-      ++records_sent_;  // buffered; the resume path owes its delivery
-      return Status::ok();
-    }
-    return Status(ErrorCode::kIoError, "channel is closed");
-  }
-  Status sent = channel_.send_gather(slices);
-  if (sent.is_ok()) {
-    ++records_sent_;
-    return Status::ok();
-  }
-  if (!resumable_) return sent;
-  note_transport_lost();
-  ++records_sent_;  // already in the replay buffer
-  // Liveness blind spot, closed: a send that blew the channel's bounded
-  // send deadline means the peer stopped reading for a whole liveness
-  // window. If nothing arrived inbound either, the peer is dead, not
-  // slow — surface the same verdict a silent receive would have.
-  if (sent.code() == ErrorCode::kTimeout && liveness_stale())
-    return Status(ErrorCode::kTimeout,
-                  "peer silent past the liveness deadline (send blocked "
-                  "past it with nothing inbound)");
-  if (active()) return reconnect(options_.liveness_deadline_ms);
   return Status::ok();
 }
 
 Status MessageSession::send(const pbio::Encoder& encoder, const void* record) {
   XMIT_RETURN_IF_ERROR(ready_to_send());
   XMIT_RETURN_IF_ERROR(announce(encoder.format()));
-  // Gather path: the encoder emits slices over pooled scratch, the
-  // tag+sequence header rides as the first slice, and the channel writes
-  // the lot with one sendmsg — no flattened frame copy, no allocation
-  // once pools are warm (replay buffering copies, but only when the
-  // session is resumable).
+  // Gather path: the encoder emits slices over pooled scratch, and the
+  // frame head rides as the first slice — no flattened copy, and no
+  // allocation once the pools are warm.
   XMIT_RETURN_IF_ERROR(
       encoder.encode_iov(record, send_scratch_, send_slices_));
-  if (options_.flow_control)
-    return queue_record(encoder.format().id(), send_slices_);
-  const std::uint64_t seq = next_seq_++;
-  record_head_[0] = kTagRecord;
-  store_with_order<std::uint64_t>(record_head_.data() + 1, seq,
-                                  ByteOrder::kLittle);
-  // Write-ahead: the record must be durable before it is transmitted —
-  // a send the log refused never reaches the wire.
-  XMIT_RETURN_IF_ERROR(
-      append_durable(seq, encoder.format().id(), send_slices_));
-  if (resumable_) buffer_for_replay(seq, encoder.format().id(), send_slices_);
-  send_slices_.insert(send_slices_.begin(),
-                      IoSlice{record_head_.data(), record_head_.size()});
-  return transmit_record(send_slices_);
+  send_slices_.insert(send_slices_.begin(), IoSlice{});
+  return queue_record(encoder.format().id(), send_slices_);
 }
 
 Status MessageSession::send_encoded(const pbio::Format& format,
                                     std::span<const std::uint8_t> record) {
   XMIT_RETURN_IF_ERROR(ready_to_send());
   XMIT_RETURN_IF_ERROR(announce(format));
-  if (options_.flow_control) {
-    const IoSlice slice = {record.data(), record.size()};
-    return queue_record(format.id(), std::span<const IoSlice>(&slice, 1));
-  }
-  const std::uint64_t seq = next_seq_++;
-  record_head_[0] = kTagRecord;
-  store_with_order<std::uint64_t>(record_head_.data() + 1, seq,
-                                  ByteOrder::kLittle);
-  const IoSlice slices[2] = {{record_head_.data(), record_head_.size()},
-                             {record.data(), record.size()}};
-  const auto span2 = std::span<const IoSlice>(slices, 2);
-  XMIT_RETURN_IF_ERROR(append_durable(seq, format.id(), span2.subspan(1)));
-  if (resumable_) buffer_for_replay(seq, format.id(), span2.subspan(1));
-  return transmit_record(span2);
+  IoSlice slices[2] = {{}, {record.data(), record.size()}};
+  return queue_record(format.id(), slices);
 }
 
 Result<MessageSession::Incoming> MessageSession::receive(int timeout_ms) {
@@ -1322,7 +1275,7 @@ Result<MessageSession::IncomingView> MessageSession::receive_view(
     // Frames poll_control() parked while a send path drained the wire are
     // consumed first, in arrival order.
     bool have_frame = false;
-    if (options_.flow_control && !pending_frames_.empty()) {
+    if (!pending_frames_.empty()) {
       recv_frame_ = std::move(pending_frames_.front());
       pending_frames_.pop_front();
       have_frame = true;
@@ -1341,7 +1294,7 @@ Result<MessageSession::IncomingView> MessageSession::receive_view(
         // can arrive — without this first grant a flow-controlled sender
         // with no handshake in its life would starve forever.
         if (credit_grants_sent_ == 0) maybe_grant(/*force=*/true);
-        pump_send_queue();
+        (void)pump_send_queue();
       }
       int slice = std::max(
           timeout_ms - static_cast<int>(budget.elapsed_ms()), 0);
@@ -1535,7 +1488,7 @@ Result<MessageSession::IncomingView> MessageSession::receive_view(
       case kTagCredit: {
         Status st = process_credit(payload);
         if (!st.is_ok()) return note_malformed(st);
-        pump_send_queue();  // fresh credit may unblock queued data now
+        (void)pump_send_queue();  // fresh credit may unblock queued data now
         continue;
       }
       case kTagShed: {

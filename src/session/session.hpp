@@ -66,7 +66,6 @@
 // followed by an at-least-once replay its dedup already handles.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -197,9 +196,12 @@ class MessageSession {
   // if this session has not carried it yet. Gather I/O over pooled scratch:
   // after the first few sends of a format the steady state copies only the
   // header (plus the slot-patched fixed section for var-bearing formats)
-  // and performs no heap allocation. Resumable and flow-controlled
-  // sessions copy the frame once, into a recycled slot of the outgoing
-  // ring, where it stays until the peer acks it.
+  // and performs no heap allocation. A plain session writes the frame
+  // straight from those slices and returns once it is in the kernel.
+  // Resumable and flow-controlled sessions copy the frame once, into a
+  // recycled slot of the outgoing ring, where it stays until the peer
+  // acks it; the ring's pump writes it — without flow control before
+  // send() returns, with it as the peer's credit allows.
   Status send(const pbio::Encoder& encoder, const void* record);
 
   // Sends an already-encoded record belonging to `format`.
@@ -421,8 +423,8 @@ class MessageSession {
   // re-announcing each format whose announcement the peer may have lost.
   Status replay_unacked();
   void maybe_ping();
-  // Sends [tag | last_seq_received_]: a heartbeat ping or the pong that
-  // answers one (queued on the control lane when flow-controlled).
+  // Queues [tag | last_seq_received_] on the control lane: a heartbeat
+  // ping or the pong that answers one.
   void send_ack_frame(std::uint8_t tag);
   // --- the outgoing ring ----------------------------------------------
   OutFrame& ring_at(std::uint64_t index) {
@@ -441,10 +443,10 @@ class MessageSession {
   OutFrame& stage_record(std::uint64_t at, std::uint64_t seq,
                          pbio::FormatId format_id,
                          std::span<const IoSlice> payload);
-  // Sessions without flow control: stages a record already on its way to
-  // the wire and evicts from the front to stay within the replay bound.
-  void buffer_for_replay(std::uint64_t seq, pbio::FormatId format_id,
-                         std::span<const IoSlice> payload);
+  // Resumable sessions keep each frame until the peer acks it (replay),
+  // flow-controlled ones too (the byte-credit ledger). Any other session
+  // has nothing queued between calls, so its records skip the ring.
+  bool keeps_frames() const { return resumable_ || options_.flow_control; }
   // Frees transmitted slots the peer's ack covers.
   void release_acked();
   // Every queued frame leaves the credit queue: a resumable session's
@@ -454,13 +456,14 @@ class MessageSession {
     return durable_ && log_ != nullptr && !log_->empty() &&
            seq >= log_->first_seq() && seq <= log_->last_seq();
   }
-  // Wire-writes one already-sequenced record frame, applying the
-  // resumable failure policy (buffered passively / reconnect actively).
-  Status transmit_record(std::span<const IoSlice> slices);
-  // Flow-controlled send tail: admission control, sequencing, WAL, then
-  // the bounded queue — the pump owns the wire from here.
-  Status queue_record(pbio::FormatId format_id,
-                      std::span<const IoSlice> payload);
+  // Every mode's send tail: admission, sequencing, WAL, then the ring and
+  // its pump. slices[0] is free for the [tag | seq] head of a session
+  // that keeps no frames, which writes the record from the slices.
+  Status queue_record(pbio::FormatId format_id, std::span<IoSlice> slices);
+  // The transport-failure policy for a failed send-path write: plain
+  // sessions get the error; resumable ones lose the transport, then get
+  // the liveness kTimeout, reconnect (active) or keep it queued (passive).
+  Status settle_send(Status written);
 
   // --- flow-control machinery -----------------------------------------
   // Validates and applies a peer 0x08 credit grant. Order: length, zero
@@ -475,10 +478,10 @@ class MessageSession {
   // grant.
   void maybe_grant(bool force);
   // Queues a credit-exempt control frame (announcements, heartbeats,
-  // grants) and lets the pump try to flush it. Droppable ones (heartbeats,
+  // grants, replay requests) for the pump. Droppable ones (heartbeats,
   // grants) are skipped when the control queue is full, because a fresher
   // copy always follows; returns false then.
-  bool enqueue_control(std::span<const std::uint8_t> frame, bool droppable);
+  bool queue_control(std::span<const std::uint8_t> frame, bool droppable);
   // kSpillToLog streaming: reads `seq` back from the durable log into a
   // ring slot at the transmit index.
   Status load_spill_frame(std::uint64_t seq);
@@ -490,11 +493,15 @@ class MessageSession {
   // nonblocking reader (Channel::next_frame) and pumps the send queue
   // while it waits, so acks and credit keep moving in both directions.
   Status fc_receive_frame(std::vector<std::uint8_t>& out, int timeout_ms);
-  // Flushes a part-written frame, the control queue, then every queued
-  // ring frame the peer's credit allows, in one gather write
-  // (Channel::send_frames); a would-block parks the frame it cut at its
-  // cursor. Transport deaths follow the resumable policy (no status).
-  void pump_send_queue();
+  // The one writer of queued frames: a part-written frame, the control
+  // queue, then ring frames, in gather writes (Channel::send_frames).
+  // Under flow control credit gates the ring and a would-block parks the
+  // cut frame at its cursor; without it the pump writes everything,
+  // waiting out a full socket under the channel's send deadline. Ring
+  // frames wait while resume_pending_; `partial_only` writes just the
+  // part-written frame. Returns the write failure (a closed transport is
+  // noted lost), else OK.
+  Status pump_send_queue(bool partial_only = false);
   // The frame at the transmit index is wholly on the wire.
   void retire_tx();
   // Nonblocking inbound sweep used by send paths and the block-wait loop:
@@ -528,8 +535,11 @@ class MessageSession {
   }
   // Drives a part-written frame alone to completion (bounded); direct
   // writes (handshake replies, replay) are only legal once this succeeds.
-  Status flush_partials(int budget_ms);
-  void reset_partial_cursors();
+  Status flush_partials() { return pump_send_queue(/*partial_only=*/true); }
+  // Queued control frames and partial-write cursors belong to one
+  // transport: the resume re-announces formats and re-grants credit on
+  // the next, and ring frames retransmit whole.
+  void drop_transport_queue();
   bool liveness_stale() const {
     return clock_.elapsed_ms() - last_inbound_ms_ >=
            options_.liveness_deadline_ms;
@@ -595,16 +605,15 @@ class MessageSession {
   ByteBuffer send_scratch_;
   std::vector<IoSlice> send_slices_;
   std::vector<std::uint8_t> recv_frame_;
-  std::array<std::uint8_t, 9> record_head_{};  // [tag | u64 LE seq]
   // Send-side sequencing.
   std::uint64_t next_seq_ = 1;
   std::uint64_t peer_acked_seq_ = 0;
-  // The outgoing ring, for resumable or flow-controlled sessions: every
-  // accepted record frame, copied once, in sequence order. Slots
+  // The outgoing ring, for sessions that keep frames: every accepted
+  // record frame, copied once, in sequence order. Slots
   // [ring_head_, ring_tx_) are on the wire awaiting the peer's ack (the
   // replay buffer and the byte-credit ledger); [ring_tx_, ring_end_) wait
-  // for credit (flow control only: other sessions transmit as they
-  // stage). Indices are absolute; ring_.size() is a power of two.
+  // for the pump — for credit, for the peer's resume, or for a transport.
+  // Indices are absolute; ring_.size() is a power of two.
   std::vector<OutFrame> ring_;
   std::uint64_t ring_head_ = 0;
   std::uint64_t ring_tx_ = 0;
@@ -634,9 +643,12 @@ class MessageSession {
   bool eviction_logged_ = false;
   std::uint64_t peer_durable_first_ = 0;
   std::uint64_t peer_durable_last_ = 0;
-  // Flow-control state. The control queue holds credit-exempt wire
-  // frames that may safely go out ahead of the ring's queued data. At
-  // most one frame across the two is partially written at any time.
+  // A passive session attached to a fresh transport sends no ring frame
+  // until the peer's resume handshake has replayed the unacked ones.
+  bool resume_pending_ = false;
+  // The control queue holds credit-exempt wire frames that may safely go
+  // out ahead of the ring's queued data. At most one frame across the two
+  // is partially written at any time. Flow-control state follows.
   std::deque<std::vector<std::uint8_t>> control_queue_;
   std::size_t control_cursor_ = 0;  // bytes of its front already written
   std::uint64_t next_transmit_seq_ = 1;  // next data seq owed to the wire

@@ -458,5 +458,76 @@ TEST(SessionChaos, ActivePeerWithDeadEndpointSurfacesTimeout) {
   sender.close();
 }
 
+// A passive sender that adopts a transport through attach() must not put
+// ring data on it before it has read the peer's resume handshake: the
+// records the old transport lost have not been replayed yet, so fresh
+// ones would overtake them (and their formats' re-announcement). The
+// passive end holds k unacked records when the old transport dies, is
+// attached to the active end's redial, and sends m more before its first
+// receive. The active end must get all k+m exactly once, in order.
+class SessionChaosAttach : public ::testing::TestWithParam<bool> {};
+
+TEST_P(SessionChaosAttach, PassiveAttachSendBeforeReceiveLosesNothing) {
+  constexpr int kUnacked = 5;
+  constexpr int kFresh = 3;
+  pbio::FormatRegistry registry_a, registry_b;
+  SessionOptions options = quiet_options();
+  options.flow_control = GetParam();
+  auto tcp = make_session_tcp(registry_a, registry_b, options);
+  ASSERT_TRUE(tcp.is_ok()) << tcp.status().to_string();
+  auto& pair = tcp.value();
+  // The active end's first receive seeds b's credit (flow control); b's
+  // first receive answers the connect handshake.
+  ASSERT_EQ(pair.a.receive_view(20).code(), ErrorCode::kTimeout);
+  ASSERT_EQ(pair.b.receive_view(20).code(), ErrorCode::kTimeout);
+
+  auto format = chaos_a(registry_b);
+  auto encoder = pbio::Encoder::make(format).value();
+  int next_id = 0;
+  for (; next_id < kUnacked; ++next_id) {
+    ChaosA record{next_id};
+    ASSERT_TRUE(pair.b.send(encoder, &record).is_ok());
+  }
+  // The old transport dies with b's records unread in a's socket.
+  pair.a.channel().close();
+  // a redials inside its receive loop; b adopts the accepted transport.
+  ASSERT_EQ(pair.a.receive_view(100).code(), ErrorCode::kTimeout);
+  auto accepted = pair.listener.accept(5000);
+  ASSERT_TRUE(accepted.is_ok()) << accepted.status().to_string();
+  pair.b.attach(std::move(accepted).value());
+  for (; next_id < kUnacked + kFresh; ++next_id) {
+    ChaosA record{next_id};
+    ASSERT_TRUE(pair.b.send(encoder, &record).is_ok());
+  }
+
+  std::vector<std::int32_t> got;
+  for (int spins = 0; spins < 200 && got.size() < kUnacked + kFresh;
+       ++spins) {
+    auto passive = pair.b.receive_view(5);
+    ASSERT_EQ(passive.code(), ErrorCode::kTimeout)
+        << passive.status().to_string();
+    auto incoming = pair.a.receive_view(20);
+    if (incoming.is_ok()) {
+      got.push_back(record_id(incoming.value()));
+      continue;
+    }
+    ASSERT_EQ(incoming.code(), ErrorCode::kTimeout)
+        << incoming.status().to_string();
+  }
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kUnacked + kFresh));
+  for (int i = 0; i < kUnacked + kFresh; ++i)
+    EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
+  EXPECT_EQ(pair.a.malformed_frames(), 0u);
+  EXPECT_EQ(pair.b.reconnects(), 1u);
+  pair.a.close();
+  pair.b.close();
+}
+
+INSTANTIATE_TEST_SUITE_P(FlowControl, SessionChaosAttach,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "On" : "Off";
+                         });
+
 }  // namespace
 }  // namespace xmit::session

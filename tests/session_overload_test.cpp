@@ -427,7 +427,7 @@ TEST(SessionOverload, ResumableShedOldestRefusesAtTheReplayBound) {
 // deadline existed, a sender wedged in send_all toward a peer that
 // stopped reading could hang past any liveness deadline — outbound
 // blocking starved the inbound liveness check. Now the channel bounds the
-// send, and transmit_record converts "send blocked a whole liveness
+// send, and the send path converts "send blocked a whole liveness
 // window with nothing inbound" into the same kTimeout verdict a silent
 // receive would produce.
 TEST(SessionOverload, LivenessDeadlineCoversBlockedSends) {
