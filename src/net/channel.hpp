@@ -67,8 +67,10 @@ class Channel {
   }
 
   // Nonblocking write of whole frames already in wire form: each slice is
-  // one [u32 LE length | body] frame, or the unwritten tail of one. As
-  // many frames as one iovec array holds (128) leave in one sendmsg.
+  // one [u32 LE length | body] frame, a piece of one, or the unwritten
+  // tail of one. messages_sent() counts each slice written out as one
+  // frame, so a frame given in two pieces counts twice. As many slices as
+  // one iovec array holds (128) leave in one sendmsg.
   // `cursor` counts the batch's bytes already on the wire; callers start
   // it at 0 and pass the same batch and cursor back until it completes, so
   // a would-block leaves at most one frame part-written. Returns OK when

@@ -46,6 +46,19 @@ constexpr std::size_t kSeqBytes = 8;
 // A ring slot's wire frame: [u32 LE length | tag | ...].
 constexpr std::size_t kLenBytes = 4;
 constexpr std::size_t kRecordWireHead = kLenBytes + 1 + kSeqBytes;
+// Read-back frames one pump batch gathers: two slices each (head and
+// payload), so a full batch fills one 128-slot iovec array.
+constexpr std::size_t kReadBackBatch = 64;
+
+// A record frame's head: [u32 LE length | 0x02 | u64 LE seq].
+void put_record_head(std::uint8_t* out, std::uint64_t seq,
+                     std::size_t wire_bytes) {
+  store_with_order<std::uint32_t>(
+      out, static_cast<std::uint32_t>(wire_bytes - kLenBytes),
+      ByteOrder::kLittle);
+  out[kLenBytes] = kTagRecord;
+  store_with_order<std::uint64_t>(out + kLenBytes + 1, seq, ByteOrder::kLittle);
+}
 
 bool is_notice(const std::vector<std::uint8_t>& wire) {
   return wire[kLenBytes] == kTagShed;
@@ -140,7 +153,10 @@ void MessageSession::init_durability() {
   if (session_id_ == 0 && active()) session_id_ = generate_session_id();
   // Resume send-side sequencing past what the log already holds, and
   // bring the persisted formats back so replay can re-announce them.
+  // A restarted sender owes nothing until a resume or a replay request
+  // says what the peer lacks.
   if (!log_->empty()) next_seq_ = log_->last_seq() + 1;
+  next_transmit_seq_ = next_seq_;
   Status loaded = catalog_->load_into(*registry_);
   if (!loaded.is_ok()) durable_error_ = loaded;
 }
@@ -171,56 +187,6 @@ Status MessageSession::catalog_put(const pbio::Format& format) {
   Status put = catalog_->put(ptr.value());
   if (!put.is_ok()) durable_error_ = put;
   return put;
-}
-
-Status MessageSession::send_durable_advert() {
-  if (!durable_ || log_ == nullptr || log_->empty() || !channel_.is_open())
-    return Status::ok();
-  std::uint8_t frame[1 + kDurableRangePayloadBytes];
-  frame[0] = kTagDurableRange;
-  store_with_order<std::uint64_t>(frame + 1, log_->first_seq(),
-                                  ByteOrder::kLittle);
-  store_with_order<std::uint64_t>(frame + 9, log_->last_seq(),
-                                  ByteOrder::kLittle);
-  return channel_.send(std::span<const std::uint8_t>(frame, sizeof(frame)));
-}
-
-Status MessageSession::announce_for_replay(pbio::FormatId id,
-                                           std::uint64_t seq) {
-  if (id == 0 || announced_.contains(id)) return Status::ok();
-  auto format = registry_->by_id(id);
-  if (!format.is_ok()) return Status::ok();
-  ByteBuffer frame;
-  frame.append_byte(kTagFormat);
-  serialize_format(*format.value(), frame);
-  XMIT_RETURN_IF_ERROR(channel_.send(frame.span()));
-  announced_.insert(id);
-  announce_seq_[id] = seq;
-  ++announcements_sent_;
-  metadata_bytes_sent_ += frame.size();
-  return Status::ok();
-}
-
-Status MessageSession::stream_from_log(std::uint64_t from, std::uint64_t to) {
-  if (log_ == nullptr || log_->empty() || from > to) return Status::ok();
-  // Direct writes: a partial frame mid-wire must complete first.
-  XMIT_RETURN_IF_ERROR(flush_partials());
-  auto cursor = log_->read_from(from);
-  storage::RecordLog::Item item;
-  for (;;) {
-    auto more = cursor.next(&item);
-    if (!more.is_ok()) return more.status();
-    if (!more.value() || item.seq > to) return Status::ok();
-    XMIT_RETURN_IF_ERROR(announce_for_replay(item.format_id, item.seq));
-    std::uint8_t head[1 + kSeqBytes];
-    head[0] = kTagRecord;
-    store_with_order<std::uint64_t>(head + 1, item.seq, ByteOrder::kLittle);
-    const IoSlice slices[2] = {{head, sizeof(head)},
-                               {item.payload.data(), item.payload.size()}};
-    XMIT_RETURN_IF_ERROR(
-        channel_.send_gather(std::span<const IoSlice>(slices, 2)));
-    ++replayed_records_;
-  }
 }
 
 Status MessageSession::request_replay(std::uint64_t from_seq) {
@@ -399,9 +365,8 @@ Status MessageSession::reconnect(int budget_ms) {
     // resurrect us with a stale epoch the peer rejects as rollback.
     Status persisted = persist_meta();
     if (!persisted.is_ok()) return persisted;  // disk trouble, not transport
-    Status resumed = send_handshake(/*initiate=*/true);
-    if (resumed.is_ok()) resumed = send_durable_advert();
-    if (resumed.is_ok()) resumed = replay_unacked();
+    resume(/*initiate=*/true);
+    Status resumed = pump_send_queue();
     if (resumed.is_ok()) {
       transport_lost_ms_ = -1;
       return Status::ok();
@@ -421,7 +386,7 @@ Status MessageSession::reconnect(int budget_ms) {
   }
 }
 
-Status MessageSession::send_handshake(bool initiate) {
+void MessageSession::resume(bool initiate) {
   std::uint8_t frame[1 + kHandshakePayloadBytes];
   frame[0] = kTagHandshake;
   frame[1] = initiate ? kHandshakeInitiate : 0;
@@ -429,7 +394,25 @@ Status MessageSession::send_handshake(bool initiate) {
   store_with_order<std::uint32_t>(frame + 10, epoch_, ByteOrder::kLittle);
   store_with_order<std::uint64_t>(frame + 14, last_seq_received_,
                                   ByteOrder::kLittle);
-  return channel_.send(std::span<const std::uint8_t>(frame, sizeof(frame)));
+  queue_control(std::span<const std::uint8_t>(frame, sizeof(frame)),
+                /*droppable=*/false);
+  if (durable_ && log_ != nullptr && !log_->empty()) {
+    std::uint8_t advert[1 + kDurableRangePayloadBytes];
+    advert[0] = kTagDurableRange;
+    store_with_order<std::uint64_t>(advert + 1, log_->first_seq(),
+                                    ByteOrder::kLittle);
+    store_with_order<std::uint64_t>(advert + 9, log_->last_seq(),
+                                    ByteOrder::kLittle);
+    queue_control(std::span<const std::uint8_t>(advert, sizeof(advert)),
+                  /*droppable=*/false);
+  }
+  // Announcements the peer's ack does not cover may never have arrived;
+  // un-mark them so they go out again ahead of the frames that need them.
+  // Formats the *peer* announced have no announce_seq_ entry and stay.
+  for (const auto& [fid, seq] : announce_seq_)
+    if (seq > peer_acked_seq_) announced_.erase(fid);
+  replay_from_ = std::min(replay_from_, peer_acked_seq_ + 1);
+  resume_pending_ = false;
 }
 
 Status MessageSession::absorb_ack(std::uint64_t last_seq) {
@@ -482,61 +465,31 @@ Status MessageSession::process_handshake(
     epoch_ = epoch;
     // Adopted identity hits the disk before we answer for it.
     if (identity_changed) XMIT_RETURN_IF_ERROR(persist_meta());
-    // The reply is a direct write: clear any half-sent frame first.
-    XMIT_RETURN_IF_ERROR(flush_partials());
-    XMIT_RETURN_IF_ERROR(send_handshake(/*initiate=*/false));
-    XMIT_RETURN_IF_ERROR(send_durable_advert());
     // The drop cut both directions: replay our own unacked frames too.
-    XMIT_RETURN_IF_ERROR(replay_unacked());
+    resume(/*initiate=*/false);
     // A resumed sender restarts against our current windows immediately.
     maybe_grant(/*force=*/true);
+    // A failed write is left to the receive path: its next read meets
+    // the dead transport.
+    (void)pump_send_queue();
   }
   return Status::ok();
 }
 
-Status MessageSession::replay_unacked() {
-  // Direct writes below; nothing may interleave with a half-sent frame.
-  XMIT_RETURN_IF_ERROR(flush_partials());
-  // Announcements the peer's ack does not cover may never have arrived;
-  // un-mark them so they go out again ahead of the frames that need them.
-  // Formats the *peer* announced have no announce_seq_ entry and stay.
-  for (const auto& [fid, seq] : announce_seq_)
-    if (seq > peer_acked_seq_) announced_.erase(fid);
-  // Every unacked frame goes out again in sequence order: from the ring,
-  // and from the durable log whatever memory no longer holds (evicted,
-  // spilled, or sent before a restart). Shed notices replay in position,
-  // or the records they name would read as silent loss at the receiver.
-  std::uint64_t next = peer_acked_seq_ + 1;
-  for (std::uint64_t i = ring_head_; i < ring_end_; ++i) {
-    const OutFrame& frame = ring_at(i);
-    if (frame.seq < next) continue;
-    const bool notice = is_notice(frame.wire);
-    const std::uint64_t first =
-        notice ? load_with_order<std::uint64_t>(frame.wire.data() + 5,
-                                                ByteOrder::kLittle)
-               : frame.seq;
-    XMIT_RETURN_IF_ERROR(stream_from_log(next, first - 1));
-    XMIT_RETURN_IF_ERROR(announce_for_replay(frame.format_id, frame.seq));
-    XMIT_RETURN_IF_ERROR(
-        channel_.send(std::span(frame.wire).subspan(kLenBytes)));
-    if (!notice) ++replayed_records_;
-    next = frame.seq + 1;
-  }
-  XMIT_RETURN_IF_ERROR(stream_from_log(next, next_seq_ - 1));
-  hand_off_queue();
-  resume_pending_ = false;
-  return Status::ok();
-}
-
-void MessageSession::hand_off_queue() {
-  ring_tx_ = ring_end_;
-  tx_cursor_ = 0;
+void MessageSession::apply_replay() {
+  // Every frame from `from` on goes out again in seq order: from the ring,
+  // and from the log what memory no longer holds. Shed notices replay in
+  // position, or their records would read as silent loss at the receiver.
+  const std::uint64_t from = std::min(replay_from_, next_transmit_seq_);
+  replay_from_ = kNoReplay;
+  replay_until_ = next_seq_;
+  next_transmit_seq_ = from;
+  // Owed again, nothing queued is fresh: the send queue is empty.
   queued_bytes_ = 0;
   data_queue_records_ = 0;
-  next_transmit_seq_ = next_seq_;
-  while (!resumable_ && ring_head_ < ring_end_)
-    free_slot(ring_at(ring_head_++));
-  release_acked();
+  while (ring_tx_ > ring_head_ && ring_at(ring_tx_ - 1).first >= from)
+    --ring_tx_;
+  log_cursor_.reset();
 }
 
 void MessageSession::maybe_ping() {
@@ -563,27 +516,18 @@ void MessageSession::send_ack_frame(std::uint8_t tag) {
   (void)pump_send_queue();
 }
 
-MessageSession::OutFrame& MessageSession::ring_insert(std::uint64_t at) {
+MessageSession::OutFrame& MessageSession::ring_push() {
   if (ring_end_ - ring_head_ == ring_.size()) {
     // Full: double it, moving every slot (and its buffer) in order.
     std::vector<OutFrame> grown(std::max<std::size_t>(16, ring_.size() * 2));
     for (std::size_t i = 0; i < ring_.size(); ++i)
       grown[i] = std::move(ring_at(ring_head_ + i));
     ring_ = std::move(grown);
-    at -= ring_head_;
     ring_tx_ -= ring_head_;
     ring_end_ -= ring_head_;
     ring_head_ = 0;
   }
-  for (std::uint64_t i = ring_end_++; i > at; --i)
-    std::swap(ring_at(i), ring_at(i - 1));
-  return ring_at(at);
-}
-
-void MessageSession::ring_erase(std::uint64_t from, std::uint64_t to) {
-  for (std::uint64_t i = from; i + (to - from) < ring_end_; ++i)
-    std::swap(ring_at(i), ring_at(i + (to - from)));
-  ring_end_ -= to - from;
+  return ring_at(ring_end_++);
 }
 
 void MessageSession::free_slot(OutFrame& slot) {
@@ -591,30 +535,6 @@ void MessageSession::free_slot(OutFrame& slot) {
   const std::size_t share =
       (options_.replay_buffer_bytes + options_.send_queue_bytes) / ring_.size();
   if (slot.wire.capacity() > share) slot.wire = std::vector<std::uint8_t>();
-}
-
-MessageSession::OutFrame& MessageSession::stage_record(
-    std::uint64_t at, std::uint64_t seq, pbio::FormatId format_id,
-    std::span<const IoSlice> payload) {
-  OutFrame& slot = ring_insert(at);
-  slot.seq = seq;
-  slot.format_id = format_id;
-  std::size_t size = kRecordWireHead;
-  for (const IoSlice& s : payload) size += s.size;
-  slot.wire.resize(size);
-  std::uint8_t* out = slot.wire.data();
-  store_with_order<std::uint32_t>(
-      out, static_cast<std::uint32_t>(size - kLenBytes), ByteOrder::kLittle);
-  out[kLenBytes] = kTagRecord;
-  store_with_order<std::uint64_t>(out + kLenBytes + 1, seq,
-                                  ByteOrder::kLittle);
-  out += kRecordWireHead;
-  for (const IoSlice& s : payload) {
-    if (s.size > 0) std::memcpy(out, s.data, s.size);
-    out += s.size;
-  }
-  ring_bytes_ += size;
-  return slot;
 }
 
 // --- flow control ------------------------------------------------------
@@ -726,30 +646,24 @@ bool MessageSession::queue_control(std::span<const std::uint8_t> frame,
   return true;
 }
 
-Status MessageSession::load_spill_frame(std::uint64_t seq) {
-  if (log_ == nullptr)
-    return Status(ErrorCode::kNotFound, "no durable log to spill from");
-  auto cursor = log_->read_from(seq);
-  storage::RecordLog::Item item;
-  auto more = cursor.next(&item);
-  if (!more.is_ok()) {
-    durable_error_ = more.status();
-    return more.status();
-  }
-  if (!more.value() || item.seq != seq)
-    return Status(ErrorCode::kNotFound,
-                  "durable log does not hold spilled record " +
-                      std::to_string(seq));
-  // Schema-ahead-of-data still holds on the spill path. No partial can be
-  // mid-wire here (the pump only loads between whole frames), so a direct
-  // write is frame-safe.
-  XMIT_RETURN_IF_ERROR(announce_for_replay(item.format_id, item.seq));
-  const IoSlice payload{item.payload.data(), item.payload.size()};
-  const OutFrame& slot = stage_record(
-      ring_tx_, seq, item.format_id, std::span<const IoSlice>(&payload, 1));
-  ++data_queue_records_;
-  queued_bytes_ += slot.wire.size();
-  return Status::ok();
+void MessageSession::queue_announcement(const pbio::Format& format) {
+  ByteBuffer frame;
+  frame.append_byte(kTagFormat);
+  serialize_format(format, frame);
+  queue_control(frame.span(), /*droppable=*/false);
+  ++announcements_sent_;
+  metadata_bytes_sent_ += frame.size();
+}
+
+bool MessageSession::announce_again(pbio::FormatId id, std::uint64_t seq) {
+  if (seq >= replay_until_ || id == 0 || announced_.contains(id))
+    return false;
+  auto format = registry_->by_id(id);
+  if (!format.is_ok()) return false;
+  queue_announcement(*format.value());
+  announced_.insert(id);
+  announce_seq_[id] = seq;
+  return true;
 }
 
 Status MessageSession::fc_receive_frame(std::vector<std::uint8_t>& out,
@@ -771,99 +685,164 @@ Status MessageSession::fc_receive_frame(std::vector<std::uint8_t>& out,
   }
 }
 
-Status MessageSession::pump_send_queue(bool partial_only) {
+Status MessageSession::pump_send_queue() {
   // Flow control is the only thing that may leave frames queued: its
-  // credit gates the ring, and a socket that will not take the batch
+  // credit gates the data, and a socket that will not take the batch
   // parks it for a later call. Without it the gate stands open and a full
-  // socket is waited out — as is a part-written frame the caller needs
-  // finished before a direct write.
+  // socket is waited out.
   const bool credit_gated = options_.flow_control;
-  const bool park = credit_gated && !partial_only;
-  const bool hold_ring = partial_only || resume_pending_;
   double stalled_since = -1;
-  while (channel_.is_open()) {  // a dead transport's ring waits for resume
-    if (!hold_ring && !partial_in_flight()) {
-      // Records spilled to the log come back from disk into the transmit
-      // slot, one at a time, under the same credit gates as fresh ones.
-      const bool gap = ring_tx_ < ring_end_
-                           ? !is_notice(ring_at(ring_tx_).wire) &&
-                                 ring_at(ring_tx_).seq > next_transmit_seq_
-                           : next_transmit_seq_ < next_seq_;
-      if (gap && spilled(next_transmit_seq_) &&
-          next_transmit_seq_ <= credit_seq_limit_) {
-        const Status loaded = load_spill_frame(next_transmit_seq_);
-        if (!loaded.is_ok()) {
-          // A log failure waits in durable_error_; the transport lives.
-          if (channel_.is_open()) return Status::ok();
-          note_transport_lost();
-          return loaded;
-        }
-      }
+  while (channel_.is_open()) {  // a dead transport's frames wait for resume
+    if (tx_cursor_ == 0) {
+      if (replay_from_ != kNoReplay) apply_replay();
+      // Seqs neither the ring nor the log holds (an eviction with no log,
+      // retention) are skipped: the receiver reports the gap.
+      const std::uint64_t ring_next = ring_first();
+      if (next_transmit_seq_ < ring_next && !log_covers(next_transmit_seq_))
+        next_transmit_seq_ = log_covers(ring_next - 1) ? log_->first_seq()
+                                                       : ring_next;
+      // Caught up with the log: an idle session holds no segment image.
+      if (log_cursor_ && next_transmit_seq_ >= ring_next) log_cursor_.reset();
     }
     // The batch: a part-written frame first (any other byte before its
     // tail corrupts the framing), then credit-exempt control frames, then
-    // queued ring frames as far as the peer's credit reaches.
+    // data in seq order as far as the peer's credit reaches.
     flush_slices_.clear();
-    std::uint64_t next = ring_tx_;
+    readback_.clear();
+    std::uint64_t next = ring_tx_;  // the next ring slot to take
     std::uint64_t owed = next_transmit_seq_;  // next data seq for the wire
     std::size_t inflight = ring_bytes_ - queued_bytes_;
-    const auto take = [&](std::size_t skip) {
-      const OutFrame& frame = ring_at(next++);
-      flush_slices_.push_back(
-          {frame.wire.data() + skip, frame.wire.size() - skip});
-      owed = is_notice(frame.wire) ? std::max(owed, frame.seq + 1)
-                                   : frame.seq + 1;
-      inflight += frame.wire.size();
+    std::size_t controls = 0, data = 0;
+    // Starved past the credit reach; byte-starved past the window, where
+    // one frame rides a quiet wire and replayed ones, in flight before,
+    // never wait on themselves.
+    const auto admits = [&](std::uint64_t seq, std::size_t size) {
+      return !credit_gated ||
+             (seq <= credit_seq_limit_ &&
+              (inflight == 0 || seq < replay_until_ ||
+               inflight + size <= credit_bytes_window_));
     };
-    if (tx_cursor_ > 0) take(tx_cursor_);
+    // Appends the frame of seq `owed`, less the `skip` bytes already on
+    // the wire: the ring slot that holds it, else the log's record read
+    // straight from the cursor's image. False when it has to wait. A
+    // part-written frame passes every gate: its head is on the wire.
+    const auto take = [&](std::size_t skip) {
+      if (next < ring_end_ && ring_at(next).first == owed) {
+        const OutFrame& frame = ring_at(next);
+        if (skip == 0 && !is_notice(frame.wire) &&  // notices are exempt
+            (!admits(frame.seq, frame.wire.size()) ||
+             // Unacked frames stay in memory: cap them against an
+             // ack-less peer.
+             (credit_gated &&
+              next - ring_head_ >= options_.replay_buffer_records) ||
+             announce_again(frame.format_id, frame.seq)))
+          return false;
+        flush_slices_.push_back(
+            {frame.wire.data() + skip, frame.wire.size() - skip});
+        owed = is_notice(frame.wire) ? std::max(owed, frame.seq + 1)
+                                     : frame.seq + 1;
+        inflight += frame.wire.size();
+        ++next;
+        return true;
+      }
+      if (skip == 0 && (!log_covers(owed) || !admits(owed, 0) ||
+                        readback_.size() == kReadBackBatch))
+        return false;
+      if (readback_.empty()) {
+        readback_.reserve(kReadBackBatch);
+        if (!log_cursor_ || log_cursor_->next_seq() != owed)
+          log_cursor_.emplace(log_->read_from(owed));
+      } else if (log_cursor_->next_seq() != owed ||
+                 !log_cursor_->buffered()) {
+        return false;  // reading on would replace the batch's image
+      }
+      ReadBack& back = readback_.emplace_back();
+      const Result<bool> more = log_cursor_->next(&back.item);
+      if (!more.is_ok()) {
+        // An unreadable log loses what it held: the wire moves on to what
+        // memory holds, and the receiver reports the gap.
+        readback_.pop_back();
+        durable_error_ = more.status();
+        log_cursor_.reset();
+        if (owed == next_transmit_seq_) next_transmit_seq_ = ring_first();
+        return false;
+      }
+      const std::size_t size = kRecordWireHead + back.item.payload.size();
+      if (skip == 0 && (!admits(owed, size) ||
+                        announce_again(back.item.format_id, owed))) {
+        log_cursor_->rewind(back.item);
+        readback_.pop_back();
+        return false;
+      }
+      put_record_head(back.head, owed, size);
+      if (skip < kRecordWireHead)
+        flush_slices_.push_back({back.head + skip, kRecordWireHead - skip});
+      skip = skip > kRecordWireHead ? skip - kRecordWireHead : 0;
+      flush_slices_.push_back({back.item.payload.data() + skip,
+                               back.item.payload.size() - skip});
+      ++owed;
+      inflight += size;
+      return true;
+    };
+    const bool cut = tx_cursor_ > 0;
+    if (cut) take(tx_cursor_);
     std::size_t skip = control_cursor_;
     for (const std::vector<std::uint8_t>& wire : control_queue_) {
-      if (partial_only && skip == 0) break;
       flush_slices_.push_back({wire.data() + skip, wire.size() - skip});
       skip = 0;
+      ++controls;
     }
-    const std::size_t controls_end = flush_slices_.size();
-    while (!hold_ring && next < ring_end_) {
-      const OutFrame& frame = ring_at(next);
-      if (credit_gated && !is_notice(frame.wire)) {
-        // Notices go in position, credit-exempt.
-        if (frame.seq > owed && spilled(owed)) break;  // disk streams it first
-        if (frame.seq > credit_seq_limit_) break;       // starved
-        if (inflight > 0 &&
-            inflight + frame.wire.size() > credit_bytes_window_)
-          break;  // byte-starved; one frame rides a quiet wire
-        // Unacked frames stay in memory: cap them against an ack-less peer.
-        if (next - ring_head_ >= options_.replay_buffer_records) break;
-      }
-      take(0);
+    // Data waits for the peer's resume, and a replay for the cut frame.
+    if (!resume_pending_ && replay_from_ == kNoReplay)
+      while (take(0)) ++data;
+    if (flush_slices_.empty()) {
+      if (control_queue_.empty()) return Status::ok();
+      continue;  // a replayed record's announcement goes first
     }
-    if (flush_slices_.empty()) return Status::ok();
 
     std::size_t written = 0;
     Status sent = channel_.send_frames(flush_slices_, written);
-    // Retire every frame now wholly on the wire; park the cursor in the
-    // one the socket cut short.
-    std::size_t k = 0;
-    const auto finished = [&](std::size_t& cursor) {
-      const std::size_t size = flush_slices_[k++].size;
-      if (written < size) {
+    // Retire every frame now wholly on the wire, in batch order; park the
+    // cursor in the one the socket cut short. The owed frame's source is
+    // the one the batch took it from.
+    std::size_t back = 0;  // read-back frames retired
+    const auto finished = [&](std::size_t size, std::size_t& cursor) {
+      const std::size_t left = size - cursor;
+      if (written < left) {
         cursor += written;
         written = 0;
         return false;
       }
-      written -= size;
+      written -= left;
       cursor = 0;
       return true;
     };
-    bool whole = true;
-    if (tx_cursor_ > 0 && (whole = finished(tx_cursor_))) retire_tx();
-    while (whole && k < controls_end && (whole = finished(control_cursor_)))
-      control_queue_.pop_front();
-    while (whole && k < flush_slices_.size() && (whole = finished(tx_cursor_)))
-      retire_tx();
+    const auto retire_owed = [&] {
+      const bool ring = ring_owes();
+      const bool notice = ring && is_notice(ring_at(ring_tx_).wire);
+      if (!finished(ring ? ring_at(ring_tx_).wire.size()
+                         : kRecordWireHead + readback_[back].item.payload.size(),
+                    tx_cursor_))
+        return false;
+      if (next_transmit_seq_ < replay_until_ && !notice) ++replayed_records_;
+      if (ring) {
+        retire_tx();
+      } else {
+        ++next_transmit_seq_;
+        ++back;
+      }
+      return true;
+    };
+    bool whole = !cut || retire_owed();
+    for (; whole && controls > 0; --controls)
+      if ((whole = finished(control_queue_.front().size(), control_cursor_)))
+        control_queue_.pop_front();
+    for (; whole && data > 0; --data) whole = retire_owed();
+    // Read-back frames not wholly written are read again next time.
+    if (back < readback_.size()) log_cursor_->rewind(readback_[back].item);
     if (sent.is_ok()) continue;
     if (sent.code() == ErrorCode::kUnavailable) {
-      if (park) return Status::ok();
+      if (credit_gated) return Status::ok();
       // Wait for the socket, bounded like a blocking channel send: a peer
       // that stops reading for the whole send deadline is dead.
       const double now = clock_.elapsed_ms();
@@ -892,13 +871,28 @@ Status MessageSession::pump_send_queue(bool partial_only) {
 
 void MessageSession::retire_tx() {
   const OutFrame& frame = ring_at(ring_tx_++);
-  queued_bytes_ -= frame.wire.size();
-  if (is_notice(frame.wire)) {
-    next_transmit_seq_ = std::max(next_transmit_seq_, frame.seq + 1);
-  } else {
-    next_transmit_seq_ = frame.seq + 1;
-    --data_queue_records_;
+  const bool notice = is_notice(frame.wire);
+  if (frame.seq >= replay_until_) {  // it leaves the send queue
+    queued_bytes_ -= frame.wire.size();
+    data_queue_records_ -= notice ? 0 : 1;
   }
+  next_transmit_seq_ =
+      notice ? std::max(next_transmit_seq_, frame.seq + 1) : frame.seq + 1;
+}
+
+Status MessageSession::absorb_control(std::uint8_t tag,
+                                      std::span<const std::uint8_t> payload) {
+  if (tag == kTagCredit) {
+    XMIT_RETURN_IF_ERROR(process_credit(payload));
+    (void)pump_send_queue();  // fresh credit may unblock queued data now
+    return Status::ok();
+  }
+  if (payload.size() != kSeqBytes)
+    return Status(ErrorCode::kParseError, "bad ping/pong frame length");
+  XMIT_RETURN_IF_ERROR(absorb_ack(
+      load_with_order<std::uint64_t>(payload.data(), ByteOrder::kLittle)));
+  if (tag == kTagPing) send_ack_frame(kTagPong);
+  return Status::ok();
 }
 
 void MessageSession::poll_control() {
@@ -929,38 +923,15 @@ void MessageSession::poll_control() {
     }
     std::span<const std::uint8_t> payload(poll_frame_.data() + 1,
                                           poll_frame_.size() - 1);
-    switch (poll_frame_[0]) {
-      case kTagPong:
-      case kTagPing: {
-        if (payload.size() != kSeqBytes) {
-          (void)note_malformed(
-              Status(ErrorCode::kParseError, "bad ping/pong frame length"));
-          continue;
-        }
-        Status st = absorb_ack(load_with_order<std::uint64_t>(
-            payload.data(), ByteOrder::kLittle));
-        if (!st.is_ok()) {
-          (void)note_malformed(st);
-          continue;
-        }
-        if (poll_frame_[0] == kTagPing) send_ack_frame(kTagPong);
-        continue;
-      }
-      case kTagCredit: {
-        Status st = process_credit(payload);
-        if (!st.is_ok()) {
-          (void)note_malformed(st);
-          continue;
-        }
-        (void)pump_send_queue();  // fresh credit may unblock the queue now
-        continue;
-      }
-      default:
-        // Data, announcements, handshakes, shed notices: the receive path
-        // owns their semantics; park them in arrival order.
-        pending_frames_.push_back(poll_frame_);
-        continue;
+    const std::uint8_t tag = poll_frame_[0];
+    if (tag == kTagPing || tag == kTagPong || tag == kTagCredit) {
+      Status st = absorb_control(tag, payload);
+      if (!st.is_ok()) (void)note_malformed(st);
+      continue;
     }
+    // Data, announcements, handshakes, shed notices: the receive path
+    // owns their semantics; park them in arrival order.
+    pending_frames_.push_back(poll_frame_);
   }
 }
 
@@ -1072,8 +1043,12 @@ Status MessageSession::admit_record(std::size_t frame_bytes) {
       return Status::ok();
     }
     case SlowConsumerPolicy::kDisconnect: {
+      // Every queued frame leaves the send queue: the resume owes it again
+      // (no other session sends again).
       note_transport_lost();
-      hand_off_queue();
+      replay_until_ = next_seq_;
+      queued_bytes_ = 0;
+      data_queue_records_ = 0;
       return Status(ErrorCode::kResourceExhausted,
                     "send queue hit its watermark; policy kDisconnect "
                     "dropped the transport");
@@ -1085,8 +1060,8 @@ Status MessageSession::admit_record(std::size_t frame_bytes) {
 void MessageSession::spill_queue() {
   // Every unstarted queued frame is covered by the write-ahead log, so
   // memory can let go of all of them: the ring is a cache, the log is the
-  // truth. The pump streams the gap back from disk as credit returns.
-  const std::uint64_t from = ring_tx_ + (tx_cursor_ > 0 ? 1 : 0);
+  // truth. The pump reads the gap back from the log as credit returns.
+  const std::uint64_t from = queue_start();
   for (std::uint64_t i = from; i < ring_end_; ++i) {
     queued_bytes_ -= ring_at(i).wire.size();
     free_slot(ring_at(i));
@@ -1111,7 +1086,7 @@ void MessageSession::shed_queue() {
   const auto over = [&] {
     return data_queue_records_ > record_target || queued_bytes_ > byte_target;
   };
-  std::uint64_t i = ring_tx_ + (tx_cursor_ > 0 ? 1 : 0);
+  std::uint64_t i = queue_start();
   for (; over() && i < ring_end_; ++i) {
     if (is_notice(ring_at(i).wire)) continue;
     const std::uint64_t first = ring_at(i).seq;
@@ -1140,7 +1115,10 @@ void MessageSession::shed_queue() {
     ring_at(i).format_id = 0;
     ring_bytes_ += notice.size();
     queued_bytes_ += notice.size();
-    ring_erase(i + 1, end);
+    // Close the run's other slots up behind the notice.
+    for (std::uint64_t k = i + 1; k + (end - i - 1) < ring_end_; ++k)
+      std::swap(ring_at(k), ring_at(k + (end - i - 1)));
+    ring_end_ -= end - i - 1;
   }
 }
 
@@ -1152,12 +1130,6 @@ void MessageSession::append_shed_sidecar(std::uint64_t first,
   if (sidecar == nullptr) return;
   std::fprintf(sidecar, "%" PRIu64 " %" PRIu64 "\n", first, last);
   std::fclose(sidecar);
-}
-
-void MessageSession::note_queue_peaks() {
-  send_queue_depth_peak_ = std::max(send_queue_depth_peak_,
-                                    data_queue_records_);
-  send_queue_bytes_peak_ = std::max(send_queue_bytes_peak_, queued_bytes_);
 }
 
 Status MessageSession::queue_record(pbio::FormatId format_id,
@@ -1185,10 +1157,31 @@ Status MessageSession::queue_record(pbio::FormatId format_id,
     slices[0] = IoSlice{head, sizeof(head)};
     return channel_.send_gather(slices);
   }
-  stage_record(ring_end_, seq, format_id, payload);
-  ++data_queue_records_;
-  queued_bytes_ += wire_bytes;
-  note_queue_peaks();
+  // While a spill is outstanding the log is the queue: a record whose
+  // predecessors wait in the log waits there too, and no slot moves.
+  if (options_.slow_consumer == SlowConsumerPolicy::kSpillToLog && durable_ &&
+      next_transmit_seq_ < seq &&
+      (ring_end_ == ring_head_ || ring_at(ring_end_ - 1).seq + 1 < seq)) {
+    ++records_spilled_;
+  } else {
+    // One copy into a recycled ring slot, as the whole wire frame.
+    OutFrame& slot = ring_push();
+    slot.seq = slot.first = seq;
+    slot.format_id = format_id;
+    slot.wire.resize(wire_bytes);
+    put_record_head(slot.wire.data(), seq, wire_bytes);
+    std::uint8_t* out = slot.wire.data() + kRecordWireHead;
+    for (const IoSlice& s : payload) {
+      if (s.size > 0) std::memcpy(out, s.data, s.size);
+      out += s.size;
+    }
+    ring_bytes_ += wire_bytes;
+    ++data_queue_records_;
+    queued_bytes_ += wire_bytes;
+    send_queue_depth_peak_ =
+        std::max(send_queue_depth_peak_, data_queue_records_);
+    send_queue_bytes_peak_ = std::max(send_queue_bytes_peak_, queued_bytes_);
+  }
   return settle_send(pump_send_queue());
 }
 
@@ -1224,12 +1217,7 @@ Status MessageSession::announce(const pbio::Format& format) {
     // The control queue puts the announcement ahead of every record that
     // needs it (data waits on credit; control does not), without
     // disturbing a partial frame mid-wire.
-    ByteBuffer frame;
-    frame.append_byte(kTagFormat);
-    serialize_format(format, frame);
-    queue_control(frame.span(), /*droppable=*/false);
-    ++announcements_sent_;
-    metadata_bytes_sent_ += frame.size();
+    queue_announcement(format);
     XMIT_RETURN_IF_ERROR(settle_send(pump_send_queue()));
   }
   return Status::ok();
@@ -1410,30 +1398,16 @@ Result<MessageSession::IncomingView> MessageSession::receive_view(
       case kTagHandshake: {
         Status st = process_handshake(payload);
         if (st.is_ok()) continue;
-        if (st.code() == ErrorCode::kIoError ||
-            st.code() == ErrorCode::kNotFound) {
-          // Our *reply or replay* write failed: transport trouble, not
-          // peer hostility. A still-open channel means the peer
-          // half-closed with frames in flight — keep draining it.
-          if (resumable_) {
-            if (!channel_.is_open()) note_transport_lost();
-            continue;
-          }
-          if (!channel_.is_open()) return st;
-          continue;
-        }
+        // A disk that cannot persist the adopted identity is not the
+        // peer's fault.
+        if (st.code() == ErrorCode::kIoError) return st;
         return note_malformed(st);
       }
       case kTagPing:
-      case kTagPong: {
-        if (payload.size() != kSeqBytes)
-          return note_malformed(
-              Status(ErrorCode::kParseError, "bad ping/pong frame length"));
-        Status st = absorb_ack(load_with_order<std::uint64_t>(
-            payload.data(), ByteOrder::kLittle));
+      case kTagPong:
+      case kTagCredit: {
+        Status st = absorb_control(recv_frame_[0], payload);
         if (!st.is_ok()) return note_malformed(st);
-        if (recv_frame_[0] == kTagPing && channel_.is_open())
-          send_ack_frame(kTagPong);
         continue;
       }
       case kTagDurableRange: {
@@ -1472,23 +1446,11 @@ Result<MessageSession::IncomingView> MessageSession::receive_view(
         // to a peer that already knows a format is an idempotent no-op
         // on its side.
         for (const auto& [fid, seq] : announce_seq_) announced_.erase(fid);
-        Status streamed =
-            stream_from_log(std::max(from, log_->first_seq()),
-                            log_->last_seq());
-        if (!streamed.is_ok()) {
-          if (resumable_ && (streamed.code() == ErrorCode::kIoError ||
-                             streamed.code() == ErrorCode::kNotFound)) {
-            if (!channel_.is_open()) note_transport_lost();
-            continue;
-          }
-          return streamed;
-        }
-        continue;
-      }
-      case kTagCredit: {
-        Status st = process_credit(payload);
-        if (!st.is_ok()) return note_malformed(st);
-        (void)pump_send_queue();  // fresh credit may unblock queued data now
+        replay_from_ =
+            std::min(replay_from_, std::max(from, log_->first_seq()));
+        // Under flow control the requester's credit paces the replay; a
+        // failed write is left to the next read.
+        (void)pump_send_queue();
         continue;
       }
       case kTagShed: {

@@ -39,7 +39,9 @@
 //   tag 0x07  replay request: [u64 from-seq] — ask a durable peer to
 //             re-send history from `from-seq` (clamped to its log) as
 //             ordinary tag-0x02 frames with their original sequence
-//             numbers; a non-durable peer ignores the request
+//             numbers; a non-durable peer ignores the request. A
+//             flow-controlled sender paces the replay by the requester's
+//             credit, like any other data
 //   tag 0x08  credit grant: [u64 last-seq-received | u64 window-records |
 //             u64 window-bytes] — a flow-controlled receiver's drain
 //             budget. The ack piggybacks replay trimming; the windows
@@ -359,8 +361,8 @@ class MessageSession {
   // High-water marks since the session started: the bounded-memory proof.
   std::size_t send_queue_depth_peak() const { return send_queue_depth_peak_; }
   std::size_t send_queue_bytes_peak() const { return send_queue_bytes_peak_; }
-  // Queued records dropped from memory in favour of the durable log
-  // (kSpillToLog) — none of them is lost; the log streams them back.
+  // Records left to the durable log instead of memory (kSpillToLog) —
+  // none of them is lost; the pump reads them back.
   std::size_t records_spilled() const { return records_spilled_; }
   // Records dropped for good under kShedOldest, each one named to the
   // peer in a tag-0x09 notice.
@@ -377,8 +379,16 @@ class MessageSession {
   // keeps its capacity when the slot is reused.
   struct OutFrame {
     std::uint64_t seq = 0;  // data seq; for a shed notice, the range end
+    std::uint64_t first = 0;  // seq; for a shed notice, the range start
     pbio::FormatId format_id = 0;  // 0 for a shed notice
     std::vector<std::uint8_t> wire;
+  };
+
+  // A record the pump gathers straight from the log cursor's segment
+  // image, behind the wire head it needs: [u32 len | 0x02 | u64 seq].
+  struct ReadBack {
+    storage::RecordLog::Item item;
+    std::uint8_t head[4 + 1 + 8];
   };
 
   // Replacement transports arrive from other threads; heap-pinned so the
@@ -414,14 +424,18 @@ class MessageSession {
   // attach() for passive ones.
   Status await_transport(int budget_ms);
   Status reconnect(int budget_ms);
-  Status send_handshake(bool initiate);
+  // Our side of a resume on a fresh transport: queues the 0x03 handshake
+  // (an initiate asks for a reply) and a durable log's 0x06 advert, owes
+  // the peer every frame past its ack again, and forgets announcements
+  // the ack does not cover, so each goes out again ahead of the first
+  // replayed record that needs it.
+  void resume(bool initiate);
   Status process_handshake(std::span<const std::uint8_t> payload);
   // Validates and absorbs a peer ack (their last-seq-received): trims the
   // replay buffer and advances peer_acked_seq_.
   Status absorb_ack(std::uint64_t last_seq);
-  // Re-sends every buffered frame past peer_acked_seq_, lazily
-  // re-announcing each format whose announcement the peer may have lost.
-  Status replay_unacked();
+  // Owes the wire every seq from replay_from_ on again (never forward).
+  void apply_replay();
   void maybe_ping();
   // Queues [tag | last_seq_received_] on the control lane: a heartbeat
   // ping or the pong that answers one.
@@ -430,28 +444,32 @@ class MessageSession {
   OutFrame& ring_at(std::uint64_t index) {
     return ring_[index & (ring_.size() - 1)];
   }
-  // Opens a slot at `at` (ring_end_ appends), shifting later slots back
-  // (O(queue) swaps for a record reloaded from the log) and doubling the
-  // ring when it is full.
-  OutFrame& ring_insert(std::uint64_t at);
-  // Closes the slots [from, to) of the queued region.
-  void ring_erase(std::uint64_t from, std::uint64_t to);
+  // Opens a slot at ring_end_, doubling the ring when it is full.
+  OutFrame& ring_push();
   // Lets go of a slot's frame; its buffer stays for reuse only up to an
   // equal share of the byte bounds, so big records cannot pin every slot.
   void free_slot(OutFrame& slot);
-  // Copies one record into a fresh slot at `at` as its whole wire frame.
-  OutFrame& stage_record(std::uint64_t at, std::uint64_t seq,
-                         pbio::FormatId format_id,
-                         std::span<const IoSlice> payload);
   // Resumable sessions keep each frame until the peer acks it (replay),
   // flow-controlled ones too (the byte-credit ledger). Any other session
   // has nothing queued between calls, so its records skip the ring.
   bool keeps_frames() const { return resumable_ || options_.flow_control; }
   // Frees transmitted slots the peer's ack covers.
   void release_acked();
-  // Every queued frame leaves the credit queue: a resumable session's
-  // replay has put (or will put) it on the wire; anyone else drops it.
-  void hand_off_queue();
+  // The first seq the ring will send next; the seqs owed before it
+  // come from the log.
+  std::uint64_t ring_first() {
+    return ring_tx_ < ring_end_ ? ring_at(ring_tx_).first : next_seq_;
+  }
+  bool ring_owes() {
+    return ring_tx_ < ring_end_ && ring_first() == next_transmit_seq_;
+  }
+  // The first slot of the send queue: past the transmit index, any frame
+  // cut mid-wire and any frame a replay owes again.
+  std::uint64_t queue_start() {
+    std::uint64_t i = ring_tx_ + (tx_cursor_ > 0 && ring_owes());
+    while (i < ring_end_ && ring_at(i).seq < replay_until_) ++i;
+    return i;
+  }
   bool log_covers(std::uint64_t seq) const {
     return durable_ && log_ != nullptr && !log_->empty() &&
            seq >= log_->first_seq() && seq <= log_->last_seq();
@@ -477,33 +495,36 @@ class MessageSession {
   // (handshake, ping) or when half the window has drained since the last
   // grant.
   void maybe_grant(bool force);
-  // Queues a credit-exempt control frame (announcements, heartbeats,
-  // grants, replay requests) for the pump. Droppable ones (heartbeats,
-  // grants) are skipped when the control queue is full, because a fresher
-  // copy always follows; returns false then.
+  // Queues a credit-exempt control frame (handshakes, durable adverts,
+  // announcements, heartbeats, grants, replay requests) for the pump.
+  // Droppable ones (heartbeats, grants) are skipped when the control
+  // queue is full, because a fresher copy always follows; returns false
+  // then.
   bool queue_control(std::span<const std::uint8_t> frame, bool droppable);
-  // kSpillToLog streaming: reads `seq` back from the durable log into a
-  // ring slot at the transmit index.
-  Status load_spill_frame(std::uint64_t seq);
-  bool spilled(std::uint64_t seq) const {
-    return options_.slow_consumer == SlowConsumerPolicy::kSpillToLog &&
-           log_covers(seq);
-  }
+  void queue_announcement(const pbio::Format& format);
+  // Queues format `id` ahead of record `seq` when a replay owes the seq
+  // and the peer may lack the format; true when it queued one (the record
+  // waits for the next batch, which the announcement heads).
+  bool announce_again(pbio::FormatId id, std::uint64_t seq);
   // Flow-controlled inbound path: takes frames from the channel's
   // nonblocking reader (Channel::next_frame) and pumps the send queue
   // while it waits, so acks and credit keep moving in both directions.
   Status fc_receive_frame(std::vector<std::uint8_t>& out, int timeout_ms);
-  // The one writer of queued frames: a part-written frame, the control
-  // queue, then ring frames, in gather writes (Channel::send_frames).
-  // Under flow control credit gates the ring and a would-block parks the
-  // cut frame at its cursor; without it the pump writes everything,
-  // waiting out a full socket under the channel's send deadline. Ring
-  // frames wait while resume_pending_; `partial_only` writes just the
-  // part-written frame. Returns the write failure (a closed transport is
-  // noted lost), else OK.
-  Status pump_send_queue(bool partial_only = false);
+  // The one writer of every session that keeps frames: a part-written
+  // frame, the control queue, then data in seq order, each seq from the
+  // ring slot that holds it, else from the log cursor's image, in gather
+  // writes (Channel::send_frames). Under flow control credit gates the
+  // data and a would-block parks the cut frame at its cursor; without it
+  // the pump writes everything, waiting out a full socket under the
+  // channel's send deadline. Data waits while resume_pending_. Returns
+  // the write failure (a closed transport is noted lost), else OK.
+  Status pump_send_queue();
   // The frame at the transmit index is wholly on the wire.
   void retire_tx();
+  // Applies an inbound ping, pong or credit grant: absorbs its ack,
+  // answers a ping, pumps on fresh credit. Errors are the peer's.
+  Status absorb_control(std::uint8_t tag,
+                        std::span<const std::uint8_t> payload);
   // Nonblocking inbound sweep used by send paths and the block-wait loop:
   // absorbs acks/credit/pings in place, parks everything else for the
   // next receive_view. Keeps last_inbound_ms_ honest while sending.
@@ -522,29 +543,21 @@ class MessageSession {
             ring_bytes_ + incoming_bytes > options_.replay_buffer_bytes);
   }
   // kSpillToLog: drop queued, unstarted data frames — the WAL holds them;
-  // the pump streams them back from disk when credit returns.
+  // the pump reads them back through the log cursor as credit returns.
   void spill_queue();
   // kShedOldest: drop the oldest unstarted data frames, each run replaced
   // in position by the tag-0x09 notice that names it, and count them.
   void shed_queue();
   // Durable sheds leave an auditable trace beside the log segments.
   void append_shed_sidecar(std::uint64_t first, std::uint64_t last);
-  // True when a partial frame is mid-wire (no other bytes may interleave).
-  bool partial_in_flight() const {
-    return tx_cursor_ > 0 || control_cursor_ > 0;
-  }
-  // Drives a part-written frame alone to completion (bounded); direct
-  // writes (handshake replies, replay) are only legal once this succeeds.
-  Status flush_partials() { return pump_send_queue(/*partial_only=*/true); }
   // Queued control frames and partial-write cursors belong to one
   // transport: the resume re-announces formats and re-grants credit on
-  // the next, and ring frames retransmit whole.
+  // the next, and data frames retransmit whole.
   void drop_transport_queue();
   bool liveness_stale() const {
     return clock_.elapsed_ms() - last_inbound_ms_ >=
            options_.liveness_deadline_ms;
   }
-  void note_queue_peaks();
   // Arms the channel-level send deadline on every transport this session
   // adopts, so a blocked send can never outlive the liveness deadline.
   void configure_transport();
@@ -564,14 +577,6 @@ class MessageSession {
                         std::span<const IoSlice> slices);
   // Persists a format to the catalog (no-op when not durable / known).
   Status catalog_put(const pbio::Format& format);
-  // Advertises [first, last] of the local log after a handshake.
-  Status send_durable_advert();
-  // Re-sends logged records in [from, to] as tag-0x02 frames with their
-  // original seqs, re-announcing formats the peer may not know.
-  Status stream_from_log(std::uint64_t from, std::uint64_t to);
-  // Direct announcement of format `id` (unless already announced) ahead
-  // of the replayed record `seq` that needs it.
-  Status announce_for_replay(pbio::FormatId id, std::uint64_t seq);
 
   net::Channel channel_;
   net::Endpoint endpoint_;  // non-dialable for passive/plain sessions
@@ -608,21 +613,36 @@ class MessageSession {
   // Send-side sequencing.
   std::uint64_t next_seq_ = 1;
   std::uint64_t peer_acked_seq_ = 0;
-  // The outgoing ring, for sessions that keep frames: every accepted
-  // record frame, copied once, in sequence order. Slots
+  // The outgoing ring, for sessions that keep frames: accepted record
+  // frames, copied once, appended in sequence order. Slots
   // [ring_head_, ring_tx_) are on the wire awaiting the peer's ack (the
   // replay buffer and the byte-credit ledger); [ring_tx_, ring_end_) wait
   // for the pump — for credit, for the peer's resume, or for a transport.
-  // Indices are absolute; ring_.size() is a power of two.
+  // Seqs it does not hold (evicted, spilled) come from the log. Indices
+  // are absolute; ring_.size() is a power of two.
   std::vector<OutFrame> ring_;
   std::uint64_t ring_head_ = 0;
   std::uint64_t ring_tx_ = 0;
   std::uint64_t ring_end_ = 0;
   std::size_t ring_bytes_ = 0;    // wire bytes of every slot held
-  std::size_t queued_bytes_ = 0;  // of the slots waiting for credit
-  std::size_t data_queue_records_ = 0;  // records waiting for credit
-  std::size_t tx_cursor_ = 0;  // bytes of slot ring_tx_ already written
+  // The send queue: slots never yet sent, waiting for credit.
+  std::size_t queued_bytes_ = 0;
+  std::size_t data_queue_records_ = 0;
+  std::size_t tx_cursor_ = 0;  // bytes of the owed frame already written
   std::vector<IoSlice> flush_slices_;  // the pump's batch; capacity reused
+  // The one log cursor, for every read-back: resume replay, replay
+  // requests, spill. Open across pump calls while the log owes the wire.
+  std::optional<storage::RecordLog::Cursor> log_cursor_;
+  // The batch's read-back frames; slices point into them, so the
+  // capacity is reserved once and never outgrown.
+  std::vector<ReadBack> readback_;
+  // A replay waits for a cut frame to finish; kNoReplay when none does.
+  static constexpr std::uint64_t kNoReplay = ~std::uint64_t{0};
+  std::uint64_t replay_from_ = kNoReplay;
+  // Seqs below this were owed again by the last replay: they count as
+  // replayed, not as queued, pass the byte-credit gate, and each one's
+  // format is announced again if need be.
+  std::uint64_t replay_until_ = 0;
   // Receive-side dedup state.
   std::uint64_t last_seq_received_ = 0;
   // Identity and liveness.
@@ -643,12 +663,12 @@ class MessageSession {
   bool eviction_logged_ = false;
   std::uint64_t peer_durable_first_ = 0;
   std::uint64_t peer_durable_last_ = 0;
-  // A passive session attached to a fresh transport sends no ring frame
-  // until the peer's resume handshake has replayed the unacked ones.
+  // A passive session attached to a fresh transport sends no data until
+  // the peer's resume handshake has said where the replay starts.
   bool resume_pending_ = false;
   // The control queue holds credit-exempt wire frames that may safely go
-  // out ahead of the ring's queued data. At most one frame across the two
-  // is partially written at any time. Flow-control state follows.
+  // out ahead of queued data. At most one frame, control or data, is
+  // partially written at any time. Flow-control state follows.
   std::deque<std::vector<std::uint8_t>> control_queue_;
   std::size_t control_cursor_ = 0;  // bytes of its front already written
   std::uint64_t next_transmit_seq_ = 1;  // next data seq owed to the wire

@@ -100,6 +100,13 @@ Status sync_fd(int fd, FaultArmer* faults) {
 
 Result<std::vector<std::uint8_t>> read_file_bytes(const std::string& path,
                                                   std::uint64_t max_bytes) {
+  std::vector<std::uint8_t> bytes;
+  XMIT_RETURN_IF_ERROR(read_file_tail(path, max_bytes, bytes));
+  return bytes;
+}
+
+Status read_file_tail(const std::string& path, std::uint64_t max_bytes,
+                      std::vector<std::uint8_t>& bytes) {
   UniqueFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
   if (!fd.valid()) return errno_error(("open " + path).c_str());
   struct stat st{};
@@ -108,10 +115,13 @@ Result<std::vector<std::uint8_t>> read_file_bytes(const std::string& path,
     return Status(ErrorCode::kResourceExhausted,
                   path + " is " + std::to_string(st.st_size) +
                       " bytes, over the storage read budget");
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(st.st_size));
-  std::size_t done = 0;
-  while (done < bytes.size()) {
-    ssize_t n = ::read(fd.get(), bytes.data() + done, bytes.size() - done);
+  const auto size = static_cast<std::size_t>(st.st_size);
+  std::size_t done = bytes.size();
+  if (size <= done) return Status::ok();
+  bytes.resize(size);  // grows geometrically: each byte is copied O(1) times
+  while (done < size) {
+    ssize_t n = ::pread(fd.get(), bytes.data() + done, size - done,
+                        static_cast<off_t>(done));
     if (n < 0) {
       if (errno == EINTR) continue;
       return errno_error("read");
@@ -120,7 +130,7 @@ Result<std::vector<std::uint8_t>> read_file_bytes(const std::string& path,
     done += static_cast<std::size_t>(n);
   }
   bytes.resize(done);
-  return bytes;
+  return Status::ok();
 }
 
 Status ensure_directory(const std::string& path) {

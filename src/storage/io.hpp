@@ -104,6 +104,10 @@ Status sync_fd(int fd, FaultArmer* faults);
 // directory must not cost an unbounded allocation).
 Result<std::vector<std::uint8_t>> read_file_bytes(const std::string& path,
                                                   std::uint64_t max_bytes);
+// Appends to `bytes` what `path` holds past its first bytes.size() bytes:
+// the tail of a file read before and grown since. Same size bound.
+Status read_file_tail(const std::string& path, std::uint64_t max_bytes,
+                      std::vector<std::uint8_t>& bytes);
 
 // mkdir -p for one level; EEXIST is success.
 Status ensure_directory(const std::string& path);

@@ -46,12 +46,6 @@ std::optional<std::uint64_t> parse_segment_name(const char* name) {
   return base;
 }
 
-std::string index_path_for(const std::string& segment_path) {
-  return segment_path.substr(0, segment_path.size() -
-                                    (sizeof(kSegmentSuffix) - 1)) +
-         kIndexSuffix;
-}
-
 Status errno_error(const std::string& what) {
   return Status(ErrorCode::kIoError, what + ": " + std::strerror(errno));
 }
@@ -334,71 +328,73 @@ Status RecordLog::sync() {
   return Status::ok();
 }
 
-RecordLog::Cursor RecordLog::read_from(std::uint64_t seq) const {
-  Cursor cursor;
-  cursor.limits_ = limits_;
-  cursor.read_budget_ = read_budget();
-  cursor.segments_.reserve(segments_.size());
-  for (const Segment& seg : segments_)
-    cursor.segments_.push_back(Cursor::SegmentRef{seg.base_seq, seg.path});
-  cursor.next_seq_ = std::max(seq, first_seq_);
-  cursor.stop_seq_ = last_seq_;
-  return cursor;
+std::size_t RecordLog::Cursor::segment_for(std::uint64_t seq) const {
+  // Last segment whose base_seq <= seq: binary search over the sorted
+  // base_seqs (this is the O(log n) seek the index then refines).
+  std::size_t lo = 0, hi = log_->segments_.size();
+  while (lo + 1 < hi) {
+    const std::size_t mid = (lo + hi) / 2;
+    if (log_->segments_[mid].base_seq <= seq) lo = mid;
+    else hi = mid;
+  }
+  return lo;
+}
+
+bool RecordLog::Cursor::buffered() const {
+  return next_seq_ != 0 && next_seq_ <= log_->last_seq_ &&
+         loaded_base_ == log_->segments_[segment_for(next_seq_)].base_seq &&
+         offset_ < bytes_.size();
+}
+
+void RecordLog::Cursor::rewind(const Item& item) {
+  next_seq_ = item.seq;
+  offset_ = static_cast<std::size_t>(item.payload.data() - bytes_.data()) -
+            kFrameHeaderBytes;
 }
 
 Status RecordLog::Cursor::load_segment_for(std::uint64_t seq) {
-  // Last segment whose base_seq <= seq: binary search over the sorted
-  // base_seqs (this is the O(log n) seek the index then refines).
-  std::size_t lo = 0, hi = segments_.size();
-  while (lo + 1 < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (segments_[mid].base_seq <= seq) lo = mid;
-    else hi = mid;
-  }
-  const SegmentRef& seg = segments_[lo];
-  XMIT_ASSIGN_OR_RETURN(bytes_, read_file_bytes(seg.path, read_budget_));
+  const Segment& seg = log_->segments_[segment_for(seq)];
+  const std::uint64_t budget = log_->read_budget();
+  XMIT_ASSIGN_OR_RETURN(bytes_, read_file_bytes(seg.path, budget));
   const std::span<const std::uint8_t> image(bytes_.data(), bytes_.size());
   XMIT_ASSIGN_OR_RETURN(auto base, parse_file_header(image, kSegmentMagic));
   if (base != seg.base_seq)
     return Status(ErrorCode::kMalformedInput,
                   seg.path + " header disagrees with its filename");
   offset_ = kSegmentHeaderBytes;
-  if (auto idx = read_file_bytes(index_path_for(seg.path), read_budget_);
-      idx.is_ok()) {
+  if (auto idx = read_file_bytes(seg.index, budget); idx.is_ok()) {
     const auto& raw = idx.value();
     const auto entries = parse_index(
         std::span<const std::uint8_t>(raw.data(), raw.size()), image,
-        seg.base_seq, limits_);
+        seg.base_seq, log_->limits_);
     // Greatest verified entry at or before the wanted seq.
     for (const IndexEntry& entry : entries) {
       if (entry.seq > seq) break;
       offset_ = entry.offset;
     }
   }
-  loaded_ = lo;
+  loaded_base_ = seg.base_seq;
   return Status::ok();
 }
 
 Result<bool> RecordLog::Cursor::next(Item* out) {
   while (true) {
-    if (next_seq_ == 0 || next_seq_ > stop_seq_ || segments_.empty())
-      return false;
-    // Which segment holds next_seq_? Segment i covers [base_i, base_i+1).
-    std::size_t want = segments_.size() - 1;
-    for (std::size_t i = 0; i + 1 < segments_.size(); ++i) {
-      if (segments_[i + 1].base_seq > next_seq_) {
-        want = i;
-        break;
-      }
-    }
-    if (loaded_ != want) XMIT_RETURN_IF_ERROR(load_segment_for(next_seq_));
+    if (next_seq_ == 0 || next_seq_ > log_->last_seq_) return false;
+    // Segment i covers [base_i, base_i+1).
+    const Segment& seg = log_->segments_[segment_for(next_seq_)];
+    if (loaded_base_ != seg.base_seq)
+      XMIT_RETURN_IF_ERROR(load_segment_for(next_seq_));
+    // A segment loaded while it was still being appended to: read on.
+    if (offset_ >= bytes_.size())
+      XMIT_RETURN_IF_ERROR(
+          read_file_tail(seg.path, log_->read_budget(), bytes_));
     if (offset_ >= bytes_.size())
       return Status(ErrorCode::kDataLoss,
-                    "segment " + std::to_string(segments_[loaded_].base_seq) +
+                    "segment " + std::to_string(seg.base_seq) +
                         " ended before seq " + std::to_string(next_seq_));
     auto frame = parse_frame(
         std::span<const std::uint8_t>(bytes_.data(), bytes_.size()), offset_,
-        limits_);
+        log_->limits_);
     if (!frame.is_ok()) {
       if (frame.code() == ErrorCode::kOutOfRange)
         return Status(ErrorCode::kDataLoss,

@@ -31,6 +31,7 @@
 // linear scan of authenticated frames.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -119,38 +120,43 @@ class RecordLog {
     std::span<const std::uint8_t> payload;
   };
 
-  // Forward iterator over [start_seq, last_seq() at creation]. Reads
-  // from disk, so it observes only what append() already wrote.
+  // Forward iterator from a start seq to last_seq(), following the log as
+  // it grows: each next() reads what append() wrote so far, one segment
+  // image at a time. The log must outlive it.
   class Cursor {
    public:
-    // Yields the next record. false => past the end of the range (not an
+    // Yields the next record. false => past the end of the log (not an
     // error). Errors are real: unreadable file, corrupt sealed segment.
     Result<bool> next(Item* out);
 
-    std::uint64_t stop_seq() const { return stop_seq_; }
+    std::uint64_t next_seq() const { return next_seq_; }
+    // True when next() yields from the loaded image without reading the
+    // disk, so every Item it yielded before stays valid.
+    bool buffered() const;
+    // Steps back to `item`, yielded from the loaded image, so next()
+    // yields it again.
+    void rewind(const Item& item);
 
    private:
     friend class RecordLog;
-    struct SegmentRef {
-      std::uint64_t base_seq = 0;
-      std::string path;
-    };
+    Cursor(const RecordLog& log, std::uint64_t seq)
+        : log_(&log), next_seq_(seq) {}
 
+    // Index into the log's segments of the one holding `seq`.
+    std::size_t segment_for(std::uint64_t seq) const;
     Status load_segment_for(std::uint64_t seq);
 
-    std::vector<SegmentRef> segments_;
-    DecodeLimits limits_;
-    std::uint64_t read_budget_ = 0;
-    std::uint64_t next_seq_ = 0;
-    std::uint64_t stop_seq_ = 0;  // inclusive
+    const RecordLog* log_;
+    std::uint64_t next_seq_;
     std::vector<std::uint8_t> bytes_;  // loaded segment image
-    std::size_t loaded_ = SIZE_MAX;    // index into segments_, or SIZE_MAX
+    std::uint64_t loaded_base_ = 0;    // its segment's base_seq; 0 = none
     std::size_t offset_ = 0;           // parse position within bytes_
   };
 
-  // Starts a cursor at `seq` (clamped up to first_seq()). The cursor
-  // covers records up to last_seq() at the time of this call.
-  Cursor read_from(std::uint64_t seq) const;
+  // Starts a cursor at `seq` (clamped up to first_seq()).
+  Cursor read_from(std::uint64_t seq) const {
+    return Cursor(*this, std::max(seq, first_seq_));
+  }
 
  private:
   struct Segment {

@@ -408,6 +408,72 @@ TEST(ZeroAlloc, OutsizedRecordsDoNotPinRingMemory) {
   }
 }
 
+// A durable sender reads a replay back through one log cursor that holds
+// a whole segment image while the replay is owed. Once the wire has
+// caught up the image goes: an idle session keeps none of it.
+TEST(ZeroAlloc, ReplayReleasesTheLogImageOnceDrained) {
+  char dir[] = "/tmp/xmit_zero_alloc_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir), nullptr);
+  struct RemoveDir {
+    const char* path;
+    ~RemoveDir() { std::filesystem::remove_all(path); }
+  } remove_dir{dir};
+  std::vector<IOField> fields = {
+      {"timestep", "integer", 4, offsetof(WithArray, timestep)},
+      {"size", "integer", 4, offsetof(WithArray, size)},
+      {"data", "float[size]", 4, offsetof(WithArray, data)},
+  };
+  std::vector<float> data(512, 0.5f);  // a 2 KiB record
+  constexpr int kRecords = 1500;       // a 3 MiB segment image
+  session::SessionOptions options;
+  options.flow_control = true;
+  options.durable_dir = dir;
+  options.durable_fsync = storage::FsyncPolicy::kNone;
+  {
+    // Fill the log: a spilling sender whose peer never grants credit.
+    FormatRegistry registry;
+    auto format =
+        registry.register_format("WithArray", fields, sizeof(WithArray))
+            .value();
+    auto encoder = Encoder::make(format).value();
+    session::SessionOptions filler = options;
+    filler.slow_consumer = session::SlowConsumerPolicy::kSpillToLog;
+    auto pipe = net::Channel::pipe().value();
+    MessageSession sender(std::move(pipe.first), registry, filler);
+    WithArray record{0, static_cast<std::int32_t>(data.size()), data.data()};
+    for (int i = 0; i < kRecords; ++i) {
+      record.timestep = i;
+      ASSERT_TRUE(sender.send(encoder, &record).is_ok());
+    }
+  }
+
+  // The sender restarts; a cold subscriber asks for all of it.
+  FormatRegistry reborn_registry;
+  FormatRegistry cold_registry;
+  auto pipe = net::Channel::pipe().value();
+  MessageSession reborn(std::move(pipe.first), reborn_registry, options);
+  session::SessionOptions cold_options;
+  cold_options.flow_control = true;
+  MessageSession cold(std::move(pipe.second), cold_registry, cold_options);
+  ASSERT_EQ(reborn.durable_last_seq(), static_cast<std::uint64_t>(kRecords));
+  const std::size_t before = g_heap_bytes.load();
+  ASSERT_TRUE(cold.request_replay(1).is_ok());
+  std::atomic<int> received{0};
+  std::thread reader([&] {
+    while (received.load() < kRecords && cold.receive_view(2000).is_ok())
+      received.fetch_add(1);
+  });
+  for (int spins = 0; spins < 5000 && received.load() < kRecords; ++spins)
+    (void)reborn.receive_view(1);
+  reader.join();
+  ASSERT_EQ(received.load(), kRecords);
+  (void)reborn.receive_view(1);
+  const std::size_t after = g_heap_bytes.load();
+  const std::size_t grown = after > before ? after - before : 0;
+  EXPECT_LT(grown, std::size_t{1} << 20)
+      << grown << " heap bytes still held after the replay drained";
+}
+
 TEST(ZeroAlloc, ArenaRewindRetainsCapacity) {
   Arena arena(64);  // small chunks force multi-chunk growth
   for (int i = 0; i < 10; ++i) arena.allocate(100);
