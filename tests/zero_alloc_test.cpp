@@ -1,84 +1,21 @@
 // Steady-state allocation tests: after warm-up, a MessageSession
 // round-trip (encode -> gather send -> framed receive -> compiled decode)
 // of a record touches the heap zero times. Global operator new/delete are
-// replaced with counting shims; counting is switched on only inside the
-// measured window so the test harness's own allocations don't register.
-// The shims also keep a running total of live heap bytes.
+// replaced with the counting shims of alloc_counter.hpp.
 #include <gtest/gtest.h>
-#include <malloc.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <filesystem>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "common/arena.hpp"
 #include "pbio/encode.hpp"
 #include "pbio/registry.hpp"
 #include "session/session.hpp"
 #include "storage/log.hpp"
-
-namespace {
-
-std::atomic<std::size_t> g_allocations{0};
-std::atomic<bool> g_counting{false};
-std::atomic<std::size_t> g_heap_bytes{0};  // live, as malloc sized them
-
-void* counted_alloc(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed))
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  g_heap_bytes.fetch_add(::malloc_usable_size(p), std::memory_order_relaxed);
-  return p;
-}
-
-void counted_free(void* p) {
-  if (p != nullptr)
-    g_heap_bytes.fetch_sub(::malloc_usable_size(p), std::memory_order_relaxed);
-  std::free(p);
-}
-
-}  // namespace
-
-namespace {
-
-void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
-  if (g_counting.load(std::memory_order_relaxed))
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  std::size_t a = static_cast<std::size_t>(align);
-  std::size_t rounded = (size + a - 1) / a * a;  // aligned_alloc contract
-  void* p = std::aligned_alloc(a, rounded ? rounded : a);
-  if (p == nullptr) throw std::bad_alloc();
-  g_heap_bytes.fetch_add(::malloc_usable_size(p), std::memory_order_relaxed);
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, align);
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_aligned_alloc(size, align);
-}
-void operator delete(void* p) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete[](void* p) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  counted_free(p);
-}
-void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  counted_free(p);
-}
 
 namespace xmit {
 namespace {
