@@ -247,11 +247,16 @@ pbio::FormatPtr crash_b(pbio::FormatRegistry& registry) {
       .value();
 }
 
-SessionOptions quiet_durable(const std::string& dir) {
+SessionOptions quiet_resumable() {
   SessionOptions options;
   options.resumable = true;
   options.heartbeat_interval_ms = 60000;  // no pings => no acks => the
   options.liveness_deadline_ms = 60000;   // whole log stays unacked
+  return options;
+}
+
+SessionOptions quiet_durable(const std::string& dir) {
+  SessionOptions options = quiet_resumable();
   options.durable_dir = dir;
   return options;
 }
@@ -344,11 +349,7 @@ TEST(StorageCrash, SenderDeathAndRebirthDeliversExactlyOnce) {
     net::Channel first_peer;
     ASSERT_TRUE(redialer.take_peer(&first_peer));
     receiver = std::make_unique<MessageSession>(
-        std::move(first_peer), registry_r, SessionOptions{
-                                               .resumable = true,
-                                               .heartbeat_interval_ms = 60000,
-                                               .liveness_deadline_ms = 60000,
-                                           });
+        std::move(first_peer), registry_r, quiet_resumable());
     send_mixed(sender, registry_1, 0, 25);
     drain(*receiver, redialer, got);
     ASSERT_EQ(got.size(), 25u);
@@ -389,9 +390,7 @@ TEST(StorageCrash, SenderDeathAndRebirthDeliversExactlyOnce) {
   auto pipe = net::Channel::pipe().value();
   reborn.attach(std::move(pipe.first));
   MessageSession cold(std::move(pipe.second), registry_cold,
-                      SessionOptions{.resumable = true,
-                                     .heartbeat_interval_ms = 60000,
-                                     .liveness_deadline_ms = 60000});
+                      quiet_resumable());
   ASSERT_TRUE(cold.request_replay(1).is_ok());
   // Pump the sender so it processes the request and streams the log.
   auto pumped = reborn.receive_view(100);

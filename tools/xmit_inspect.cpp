@@ -5,16 +5,16 @@
 // data at rest. Each record is printed field-by-field via the dynamic
 // RecordReader; --xml re-encodes records as XML documents instead.
 //
-// Usage:
-//   xmit_inspect [--xml] [--formats-only] [--plan] [--retries N] \
-//       [--timeout-ms N] [--max-depth N] [--max-bytes N] [--max-alloc N] \
+// Usage (one command line each; continuation lines are indented):
+//   xmit_inspect [--xml] [--formats-only] [--plan] [--retries N]
+//       [--timeout-ms N] [--max-depth N] [--max-bytes N] [--max-alloc N]
 //       <file.pbio | http://...>
 //
 // --plan prints, for every format in the file, the compiled decode plan
 // to the equivalent host-layout struct — one line per op, including the
 // vector "fuse" ops — plus the op mix (copy/swap/convert/fused counts)
 // and which kernel backend (sse2/neon/scalar) would execute it.
-//   xmit_inspect --connect HOST:PORT [--resume] [--flow-control] [--count N] \
+//   xmit_inspect --connect HOST:PORT [--resume] [--flow-control] [--count N]
 //       [--timeout-ms N] [--max-depth N] [--max-bytes N] [--max-alloc N]
 // http:// sources are fetched (with retry/backoff per the flags) into a
 // private temporary file first, so a flaky archive server doesn't fail
