@@ -5,8 +5,9 @@
 // the authoritative verdict: will records of the old format still decode
 // under the new one (PBIO restricted evolution)?
 //
-// Usage: xmit_diff [--max-depth N] [--max-bytes N] [--max-alloc N] \
-//            <old-schema> <new-schema> [type-name]
+// Usage (one command line; the continuation line is indented):
+//   xmit_diff [--max-depth N] [--max-bytes N] [--max-alloc N]
+//       <old-schema> <new-schema> [type-name]
 // Exit status: 0 all compared types convertible, 1 otherwise.
 // --max-depth/--max-bytes/--max-alloc bound what parsing the (possibly
 // remote, untrusted) schema documents may consume.

@@ -3,8 +3,8 @@
 // messages received from other parties to determine which of several
 // structure definitions a message best matches".
 //
-// Usage:
-//   xmit_validate [--retries N] [--timeout-ms N] \
+// Usage (one command line; the continuation line is indented):
+//   xmit_validate [--retries N] [--timeout-ms N]
 //       <schema-url-or-path> <instance-path> [type-name]
 // With a type name: validates against that type (exit 0 on success).
 // Without: reports every type the instance matches.
