@@ -131,7 +131,9 @@ Channel& Channel::operator=(Channel&& other) noexcept {
     in_cap_ = std::exchange(other.in_cap_, 0);
     in_begin_ = std::exchange(other.in_begin_, 0);
     in_end_ = std::exchange(other.in_end_, 0);
+    in_offered_ = std::exchange(other.in_offered_, 0);
     in_skip_ = std::exchange(other.in_skip_, 0);
+    read_end_ = std::exchange(other.read_end_, 0);
     out_head_ = std::exchange(other.out_head_, 0);
     out_left_ = std::exchange(other.out_left_, 0);
   }
@@ -145,7 +147,8 @@ void Channel::close() {
   }
   // Buffered bytes die with the stream they came from; the storage stays
   // until the channel is destroyed or replaced.
-  in_begin_ = in_end_ = in_skip_ = 0;
+  in_begin_ = in_end_ = in_offered_ = in_skip_ = 0;
+  read_end_ = 0;
   out_head_ = out_left_ = 0;
 }
 
@@ -351,7 +354,7 @@ bool Channel::poll_writable(int timeout_ms) {
   return ::poll(&pfd, 1, timeout_ms) > 0;
 }
 
-bool Channel::next_frame(std::vector<std::uint8_t>& out, Status& error,
+bool Channel::next_frame(std::span<const std::uint8_t>& frame, Status& error,
                          std::size_t max_frame_bytes) {
   if (fd_ < 0) {
     error = make_error(ErrorCode::kIoError, "channel is closed");
@@ -359,118 +362,146 @@ bool Channel::next_frame(std::vector<std::uint8_t>& out, Status& error,
   }
   max_frame_bytes = std::min(max_frame_bytes, kMaxFrameBytes);
   for (;;) {
-    const std::size_t dropped = std::min(in_skip_, in_end_ - in_begin_);
-    in_begin_ += dropped;
-    in_skip_ -= dropped;
     const std::size_t held = in_end_ - in_begin_;
     std::size_t want = kHeaderBytes;  // bytes the front frame needs in all
     if (held >= kHeaderBytes) {
       const std::size_t length = frame_length(in_.get() + in_begin_);
       if (length > max_frame_bytes) {
         // Refused before any buffer grows; its body is dropped on arrival.
+        in_offered_ -= std::min(in_offered_, want + length);
         in_begin_ += kHeaderBytes;
         in_skip_ = length;
+        drop_skipped();
         error = make_error(ErrorCode::kResourceExhausted,
                            "inbound frame exceeds the size limit");
         return false;
       }
-      want = kHeaderBytes + length;
+      want += length;
       if (held >= want) {
-        const std::uint8_t* body = in_.get() + in_begin_ + kHeaderBytes;
-        out.assign(body, body + length);
+        frame = {in_.get() + in_begin_ + kHeaderBytes, length};
         in_begin_ += want;
+        in_offered_ -= std::min(in_offered_, want);
         return true;
       }
     }
-    // No whole frame buffered: slide the partial one to the front and
-    // read. The buffer grows only when it is full of one frame, and then
-    // at most to that frame's size.
-    if (!in_) {
-      in_ = std::make_unique_for_overwrite<std::uint8_t[]>(kInitialReadBytes);
-      in_cap_ = kInitialReadBytes;
+    if (read_end_ != 0) {
+      const bool clean = read_end_ < 0 && held == 0 && in_skip_ == 0;
+      error = make_error(clean ? ErrorCode::kNotFound : ErrorCode::kIoError,
+                         clean           ? "end of stream"
+                         : read_end_ > 0 ? "channel recv failed"
+                                         : "peer closed mid-frame");
+      return false;
     }
-    if (in_begin_ > 0) {
-      std::memmove(in_.get(), in_.get() + in_begin_, held);
-      in_begin_ = 0;
-      in_end_ = held;
-    }
-    if (in_end_ == in_cap_) {
-      const std::size_t grown = std::min(in_cap_ * 2, want);
-      auto bigger = std::make_unique_for_overwrite<std::uint8_t[]>(grown);
-      std::memcpy(bigger.get(), in_.get(), in_end_);
-      in_ = std::move(bigger);
-      in_cap_ = grown;
-    }
-    const std::size_t room = std::min(in_cap_ - in_end_, read_budget_);
-    if (room == 0) {
+    if (read_budget_ == 0) {
       error = make_error(ErrorCode::kResourceExhausted,
                          "channel read budget spent");
       return false;
     }
-    ssize_t n;
-    do {
-      ++recv_calls_;
-      n = ::recv(fd_, in_.get() + in_end_, room, MSG_DONTWAIT);
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return false;
-      error = make_error(ErrorCode::kIoError, "channel recv failed");
-      return false;
-    }
-    if (n == 0) {
-      const bool clean = in_end_ == 0 && in_skip_ == 0;
-      error = make_error(clean ? ErrorCode::kNotFound : ErrorCode::kIoError,
-                         clean ? "end of stream" : "peer closed mid-frame");
-      return false;
-    }
-    in_end_ += static_cast<std::size_t>(n);
-    bytes_received_ += static_cast<std::size_t>(n);
-    read_budget_ -= static_cast<std::size_t>(n);
+    if (fill(want, read_budget_) == 0 && read_end_ == 0) return false;
   }
+}
+
+bool Channel::offer(std::span<const std::uint8_t>& frame,
+                    std::size_t max_held) {
+  if (fd_ < 0) return false;
+  for (;;) {
+    const std::size_t at = in_begin_ + in_offered_;
+    const std::size_t fresh = in_end_ - at;
+    std::size_t want = kHeaderBytes;
+    if (fresh >= kHeaderBytes) {
+      const std::size_t length = frame_length(in_.get() + at);
+      want += length;
+      if (fresh >= want) {
+        frame = {in_.get() + at + kHeaderBytes, length};
+        in_offered_ += want;
+        return true;
+      }
+    }
+    // Frames left in place fill the buffer: grow it by doubling.
+    const std::size_t held = in_end_ - in_begin_;
+    if (read_end_ != 0 || held >= max_held ||
+        fill(std::max(in_offered_ + want, max_held),
+             std::min(max_held - held, read_budget_)) == 0)
+      return false;
+  }
+}
+
+void Channel::cut(std::span<const std::uint8_t> frame) {
+  // Slide the frames left before it (few: the sweep's bound) over it.
+  const std::size_t size = kHeaderBytes + frame.size();
+  const std::size_t left = in_offered_ - size;
+  std::memmove(in_.get() + in_begin_ + size, in_.get() + in_begin_, left);
+  in_begin_ += size;
+  in_offered_ = left;
+}
+
+void Channel::drop_skipped() {
+  const std::size_t dropped = std::min(in_skip_, in_end_ - in_begin_);
+  in_begin_ += dropped;
+  in_skip_ -= dropped;
+}
+
+std::size_t Channel::fill(std::size_t want, std::size_t most) {
+  if (!in_) {
+    in_ = std::make_unique_for_overwrite<std::uint8_t[]>(kInitialReadBytes);
+    in_cap_ = kInitialReadBytes;
+  }
+  const std::size_t held = in_end_ - in_begin_;
+  if (in_begin_ > 0) {
+    std::memmove(in_.get(), in_.get() + in_begin_, held);
+    in_begin_ = 0;
+    in_end_ = held;
+  }
+  if (in_end_ == in_cap_) {
+    const std::size_t grown = std::min(in_cap_ * 2, want);
+    auto bigger = std::make_unique_for_overwrite<std::uint8_t[]>(grown);
+    std::memcpy(bigger.get(), in_.get(), in_end_);
+    in_ = std::move(bigger);
+    in_cap_ = grown;
+  }
+  const std::size_t room = std::min(in_cap_ - in_end_, most);
+  if (room == 0) return 0;
+  ssize_t n;
+  do {
+    ++recv_calls_;
+    n = ::recv(fd_, in_.get() + in_end_, room, MSG_DONTWAIT);
+  } while (n < 0 && errno == EINTR);
+  if (n == 0) read_end_ = -1;
+  if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) read_end_ = errno;
+  if (n <= 0) return 0;
+  in_end_ += static_cast<std::size_t>(n);
+  bytes_received_ += static_cast<std::size_t>(n);
+  read_budget_ -= static_cast<std::size_t>(n);
+  drop_skipped();
+  return static_cast<std::size_t>(n);
 }
 
 bool Channel::poll_readable(int timeout_ms) {
   if (fd_ < 0) return false;
-  const std::size_t skip = std::min(in_skip_, in_end_ - in_begin_);
-  const std::size_t held = in_end_ - in_begin_ - skip;
-  if (held >= kHeaderBytes &&
-      held - kHeaderBytes >= frame_length(in_.get() + in_begin_ + skip))
+  const std::size_t at = in_begin_ + in_offered_;
+  if (in_end_ - at >= kHeaderBytes &&
+      in_end_ - at - kHeaderBytes >= frame_length(in_.get() + at))
     return true;  // a whole frame is already buffered
   struct pollfd pfd = {fd_, POLLIN, 0};
   return ::poll(&pfd, 1, timeout_ms) > 0;
 }
 
 Result<std::vector<std::uint8_t>> Channel::receive(int timeout_ms) {
-  std::vector<std::uint8_t> message;
-  XMIT_RETURN_IF_ERROR(receive_into(message, timeout_ms));
-  return message;
-}
-
-Status Channel::receive_into(std::vector<std::uint8_t>& out, int timeout_ms,
-                             std::size_t max_frame_bytes) {
-  out.clear();
-  std::optional<std::chrono::steady_clock::time_point> deadline;
-  for (;;) {
-    Status error;
-    if (next_frame(out, error, max_frame_bytes)) return Status::ok();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+  std::span<const std::uint8_t> frame;
+  Status error;
+  while (!next_frame(frame, error)) {
     if (!error.is_ok()) return error;
-    // The clock is read only once the socket has run dry.
-    int wait = timeout_ms;
-    if (timeout_ms > 0) {
-      const auto now = std::chrono::steady_clock::now();
-      if (!deadline) deadline = now + std::chrono::milliseconds(timeout_ms);
-      wait = static_cast<int>(std::max<long long>(
-          std::chrono::ceil<std::chrono::milliseconds>(*deadline - now)
-              .count(),
-          0));
-    }
-    struct pollfd pfd = {fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, wait);
-    if (ready == 0)
+    const auto left = std::max<long long>(
+        std::chrono::ceil<std::chrono::milliseconds>(
+            deadline - std::chrono::steady_clock::now())
+            .count(),
+        0);
+    if (!poll_readable(static_cast<int>(left)) && left == 0)
       return make_error(ErrorCode::kTimeout, "receive timeout");  // fits SSO
-    if (ready < 0 && errno != EINTR)
-      return make_error(ErrorCode::kIoError, "channel poll failed");
   }
+  return std::vector<std::uint8_t>(frame.begin(), frame.end());
 }
 
 ChannelListener::~ChannelListener() {

@@ -106,28 +106,38 @@ class Channel {
   // they may be mixed freely on one stream. A length prefix over
   // `max_frame_bytes` fails kResourceExhausted before any buffer grows,
   // and the refused body is dropped as it arrives: the stream stays framed.
+  // The end of the stream (kNotFound when clean, else kIoError) comes only
+  // after every whole frame received before it.
 
-  // Blocks up to timeout_ms for the next complete frame. A cleanly closed
-  // peer yields kNotFound ("end of stream"), an expired deadline yields
-  // kTimeout (a partly received frame stays buffered for the next call),
-  // and every other socket failure is kIoError.
+  // Blocks up to timeout_ms for the next complete frame and copies it out
+  // (kTimeout keeps a partly received frame buffered for the next call).
   Result<std::vector<std::uint8_t>> receive(int timeout_ms = 5000);
 
-  // receive() into a caller-owned buffer: once `out`'s capacity has grown
-  // to the session's largest frame, further receives allocate nothing.
-  Status receive_into(std::vector<std::uint8_t>& out, int timeout_ms = 5000,
-                      std::size_t max_frame_bytes = kMaxFrameBytes);
-
-  // Nonblocking receive: copies the next whole frame into `out` and
-  // returns true when one is buffered or one recv completes it. Returns
-  // false when more bytes are needed (`error` untouched, nothing
-  // allocated) or when the stream failed (`error` set as receive_into
-  // would set it).
-  bool next_frame(std::vector<std::uint8_t>& out, Status& error,
+  // Nonblocking: points `frame` at the next whole frame's body in the read
+  // buffer, valid until the next receive, sweep or close (sends leave it
+  // alone). False when more bytes are needed (`error` untouched, nothing
+  // allocated) or when the stream failed (`error` set).
+  bool next_frame(std::span<const std::uint8_t>& frame, Status& error,
                   std::size_t max_frame_bytes = kMaxFrameBytes);
 
-  // True when a whole frame is already buffered, or when a recv of at
-  // least one byte (or EOF) would not block within timeout_ms.
+  // Nonblocking sweep for a sender waiting on a frame that may sit behind
+  // others it cannot consume yet (a credit grant behind the peer's data):
+  // reads while fewer than `max_held` bytes are buffered, and offers
+  // `take` each whole frame not offered before, in order. Frames `take`
+  // returns true for are cut out; the rest stay, in order, for next_frame.
+  // `take` may write to or close the channel, not read from it. The end
+  // of the stream or a read error stops the sweep and is left for
+  // next_frame; false then, or once the channel is closed.
+  template <typename Take>
+  bool sweep(std::size_t max_held, Take&& take) {
+    std::span<const std::uint8_t> frame;
+    while (offer(frame, max_held))
+      if (take(frame) && fd_ >= 0) cut(frame);
+    return fd_ >= 0 && read_end_ == 0;
+  }
+
+  // True when a whole frame the sweep has not offered is buffered, or when
+  // a recv of at least one byte (or EOF) would not block within timeout_ms.
   bool poll_readable(int timeout_ms);
 
   void close();
@@ -169,6 +179,15 @@ class Channel {
   explicit Channel(int fd) : fd_(fd) {}
   friend class ChannelListener;
 
+  // The sweep's steps: offer the next frame, cut out one just offered.
+  bool offer(std::span<const std::uint8_t>& frame, std::size_t max_held);
+  void cut(std::span<const std::uint8_t> frame);
+  void drop_skipped();  // a refused frame's body, as soon as it arrives
+  // Slides the held bytes to the front, doubles a full buffer (to at most
+  // `want` bytes), and reads once, at most `most` bytes. Returns the bytes
+  // read: 0 when the socket has none or the stream ended (read_end_ set).
+  std::size_t fill(std::size_t want, std::size_t most);
+
   // Every send path's one gather write: sendmsg under `deadline_ms`
   // (a blown deadline closes the channel), with an armed failure applied
   // at its exact byte so byte budgets hold across frames and batches.
@@ -191,13 +210,17 @@ class Channel {
   std::size_t read_budget_ = static_cast<std::size_t>(-1);
 
   // Inbound read buffer: raw storage, never value-initialised. Bytes
-  // [in_begin_, in_end_) are received but not yet framed; in_skip_ counts
-  // body bytes of a refused frame still to be discarded as they arrive.
+  // [in_begin_, in_end_) are received but not yet taken, the first
+  // in_offered_ of them frames the sweep left; in_skip_ counts body bytes
+  // of a refused frame still to arrive, dropped as they do. read_end_ is
+  // 0 while the stream is open, -1 after EOF, else the recv's errno.
   std::unique_ptr<std::uint8_t[]> in_;
   std::size_t in_cap_ = 0;
   std::size_t in_begin_ = 0;
   std::size_t in_end_ = 0;
+  std::size_t in_offered_ = 0;
   std::size_t in_skip_ = 0;
+  int read_end_ = 0;
 
   // Outbound framing of send_frames: bytes of the current frame's length
   // prefix seen so far, then the body bytes still to go. Zero between

@@ -99,14 +99,20 @@ Result<std::size_t> StallingReader::consume_then_stall(
   const std::size_t stop_at = channel_.bytes_received() + action.byte_budget;
   channel_.stall_reads_after(action.byte_budget);
   std::size_t frames = 0;
-  std::vector<std::uint8_t> scratch;
   for (;;) {
-    Status got = channel_.receive_into(scratch, timeout_ms);
+    std::span<const std::uint8_t> frame;
+    Status got;
+    const bool whole = channel_.next_frame(frame, got);
     consumed_ = channel_.bytes_received();
+    if (whole) {
+      ++frames;
+      continue;
+    }
     if (consumed_ == stop_at && got.code() == ErrorCode::kResourceExhausted)
       break;  // budget spent: stop reading
     if (!got.is_ok()) return got;
-    ++frames;
+    if (!channel_.poll_readable(timeout_ms))
+      return Status(ErrorCode::kTimeout, "receive timeout");
   }
   return frames;  // park: the caller keeps this object (and the fd) alive
 }

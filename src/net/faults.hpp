@@ -205,9 +205,9 @@ class StallingReader {
   explicit StallingReader(Channel channel) : channel_(std::move(channel)) {}
 
   // Pulls exactly `action.byte_budget` wire bytes (headers included) off
-  // the socket, then parks the channel open; fails if the next frame does
-  // not arrive within `timeout_ms` first. Returns the number of complete
-  // frames drained.
+  // the socket, then parks the channel open; fails if the socket stays
+  // silent for `timeout_ms` first. Returns the number of complete frames
+  // drained.
   Result<std::size_t> consume_then_stall(const FaultAction& action,
                                          int timeout_ms = 5000);
 

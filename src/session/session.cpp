@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
@@ -65,16 +66,6 @@ bool is_notice(const std::vector<std::uint8_t>& wire) {
   return wire[kLenBytes] == kTagShed;
 }
 
-// Milliseconds on the coarse monotonic clock, which ticks every few ms and
-// costs a few ns to read, against tens of ns for the precise one: cheap
-// enough for a check on every send, fine enough for heartbeat intervals.
-double coarse_now_ms() {
-  timespec now{};
-  ::clock_gettime(CLOCK_MONOTONIC_COARSE, &now);
-  return static_cast<double>(now.tv_sec) * 1e3 +
-         static_cast<double>(now.tv_nsec) / 1e6;
-}
-
 std::uint64_t generate_session_id() {
   // Distinct per session within the process, never zero (the multiplier
   // is odd, so k * m mod 2^64 == 0 only for k == 0).
@@ -103,8 +94,7 @@ MessageSession::MessageSession(net::Channel channel,
   analysis::register_plan_verifier();
   decoder_->set_verify_plans(true);
   decoder_->set_plan_cache_budget(options_.plan_cache_budget);
-  last_inbound_ms_ = clock_.elapsed_ms();
-  last_poll_ms_ = coarse_now_ms();
+  last_inbound_ms_ = last_poll_ms_ = coarse_now_ms();
   init_durability();
   configure_transport();
 }
@@ -124,8 +114,7 @@ MessageSession::MessageSession(net::Endpoint endpoint,
   analysis::register_plan_verifier();
   decoder_->set_verify_plans(true);
   decoder_->set_plan_cache_budget(options_.plan_cache_budget);
-  last_inbound_ms_ = clock_.elapsed_ms();
-  last_poll_ms_ = coarse_now_ms();
+  last_inbound_ms_ = last_poll_ms_ = coarse_now_ms();
   init_durability();
 }
 
@@ -270,7 +259,7 @@ void MessageSession::install_pending_attach() {
   // or fresh frames would overtake the ones the old transport lost.
   resume_pending_ = !active();
   ++reconnects_;
-  last_inbound_ms_ = clock_.elapsed_ms();
+  last_inbound_ms_ = coarse_now_ms();
   transport_lost_ms_ = -1;
 }
 
@@ -372,7 +361,7 @@ Status MessageSession::reconnect(int budget_ms) {
     drop_transport_queue();
     ++epoch_;
     if (epoch_ > 1) ++reconnects_;
-    last_inbound_ms_ = clock_.elapsed_ms();
+    last_inbound_ms_ = coarse_now_ms();
     // Identity-ahead-of-wire: the bumped epoch must hit the disk before
     // any peer hears it, or a crash between handshake and persist would
     // resurrect us with a stale epoch the peer rejects as rollback.
@@ -679,25 +668,6 @@ bool MessageSession::announce_again(pbio::FormatId id, std::uint64_t seq) {
   return true;
 }
 
-Status MessageSession::fc_receive_frame(std::vector<std::uint8_t>& out,
-                                        int timeout_ms) {
-  Stopwatch budget;
-  for (;;) {
-    Status failed;
-    if (channel_.next_frame(out, failed, limits_.max_message_bytes))
-      return Status::ok();
-    if (!failed.is_ok()) return failed;
-    // Idle inbound: keep our own queue moving while we wait.
-    (void)pump_send_queue();
-    if (!channel_.is_open())
-      return Status(ErrorCode::kIoError, "channel is closed");
-    const int remaining = timeout_ms - static_cast<int>(budget.elapsed_ms());
-    if (remaining <= 0)  // a short message: idle pulls allocate nothing
-      return Status(ErrorCode::kTimeout, "receive timeout");
-    channel_.poll_readable(std::min(remaining, 20));
-  }
-}
-
 Status MessageSession::pump_send_queue() {
   // Flow control is the only thing that may leave frames queued: its
   // credit gates the data, and a socket that will not take the batch
@@ -893,60 +863,36 @@ void MessageSession::retire_tx() {
       notice ? std::max(next_transmit_seq_, frame.seq + 1) : frame.seq + 1;
 }
 
-Status MessageSession::absorb_control(std::uint8_t tag,
-                                      std::span<const std::uint8_t> payload) {
-  if (tag == kTagCredit) {
-    XMIT_RETURN_IF_ERROR(process_credit(payload));
-    (void)pump_send_queue();  // fresh credit may unblock queued data now
-    return Status::ok();
-  }
-  if (payload.size() != kSeqBytes)
-    return Status(ErrorCode::kParseError, "bad ping/pong frame length");
-  XMIT_RETURN_IF_ERROR(absorb_ack(
-      load_with_order<std::uint64_t>(payload.data(), ByteOrder::kLittle)));
-  if (tag == kTagPing) send_ack_frame(kTagPong);
-  return Status::ok();
+bool MessageSession::poll_control() {
+  if (!options_.flow_control || !channel_.is_open()) return false;
+  last_poll_ms_ = coarse_now_ms();
+  const std::size_t before = channel_.bytes_received();
+  std::size_t bound = SIZE_MAX;
+  (void)checked_add(options_.receive_window_bytes, limits_.max_message_bytes,
+                    &bound);
+  const bool open =
+      channel_.sweep(bound, [this](std::span<const std::uint8_t> frame) {
+        if (frame.empty() || (frame[0] != kTagPing && frame[0] != kTagPong &&
+                              frame[0] != kTagCredit))
+          return false;
+        std::optional<IncomingView> none;
+        (void)on_frame(frame[0], frame.subspan(1), none);
+        return true;
+      });
+  if (channel_.bytes_received() != before) last_inbound_ms_ = last_poll_ms_;
+  if (!open && resumable_) note_transport_lost();
+  return open;
 }
 
-void MessageSession::poll_control() {
-  if (!options_.flow_control || !channel_.is_open()) return;
-  last_poll_ms_ = coarse_now_ms();
-  // Parked frames are bounded: past this the caller must receive() before
-  // we pull more off the wire, or a flooding peer grows us without limit.
-  constexpr std::size_t kPendingFramesCap = 256;
-  for (;;) {
-    if (pending_frames_.size() >= kPendingFramesCap) return;
-    Status failed;
-    if (!channel_.next_frame(poll_frame_, failed, limits_.max_message_bytes)) {
-      if (failed.is_ok()) return;  // nothing more waiting
-      if (failed.code() == ErrorCode::kResourceExhausted) {
-        (void)note_malformed(failed);  // oversized; the stream stays framed
-        continue;
-      }
-      if (resumable_)
-        note_transport_lost();
-      else
-        channel_.close();
-      return;
-    }
-    last_inbound_ms_ = clock_.elapsed_ms();
-    if (poll_frame_.empty()) {
-      (void)note_malformed(
-          Status(ErrorCode::kParseError, "empty session frame"));
-      continue;
-    }
-    std::span<const std::uint8_t> payload(poll_frame_.data() + 1,
-                                          poll_frame_.size() - 1);
-    const std::uint8_t tag = poll_frame_[0];
-    if (tag == kTagPing || tag == kTagPong || tag == kTagCredit) {
-      Status st = absorb_control(tag, payload);
-      if (!st.is_ok()) (void)note_malformed(st);
-      continue;
-    }
-    // Data, announcements, handshakes, shed notices: the receive path
-    // owns their semantics; park them in arrival order.
-    pending_frames_.push_back(poll_frame_);
-  }
+// Milliseconds on the coarse monotonic clock, which ticks every few ms and
+// costs a few ns to read, against tens of ns for the precise one: cheap
+// enough for a check on every send and a stamp on every inbound frame,
+// fine enough for heartbeat intervals and the liveness deadline.
+double MessageSession::coarse_now_ms() {
+  timespec now{};
+  ::clock_gettime(CLOCK_MONOTONIC_COARSE, &now);
+  return static_cast<double>(now.tv_sec) * 1e3 +
+         static_cast<double>(now.tv_nsec) / 1e6;
 }
 
 bool MessageSession::record_would_wait(std::size_t frame_bytes) const {
@@ -1019,7 +965,7 @@ Status MessageSession::admit_record(std::size_t frame_bytes) {
     case SlowConsumerPolicy::kBlockWithDeadline: {
       Stopwatch wait;
       for (;;) {
-        poll_control();
+        const bool reading = poll_control();
         (void)pump_send_queue();
         if (!over()) {
           send_block_ms_ += wait.elapsed_ms();
@@ -1050,7 +996,7 @@ Status MessageSession::admit_record(std::size_t frame_bytes) {
                         "send queue full: peer credit could not drain it "
                         "within the block deadline (slow consumer)");
         }
-        if (channel_.is_open())
+        if (reading)
           channel_.poll_readable(1);
         else
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -1279,10 +1225,8 @@ Status MessageSession::send_encoded(const pbio::Format& format,
 
 Result<MessageSession::Incoming> MessageSession::receive(int timeout_ms) {
   XMIT_ASSIGN_OR_RETURN(auto view, receive_view(timeout_ms));
-  Incoming incoming;
-  incoming.bytes.assign(view.bytes.begin(), view.bytes.end());
-  incoming.sender_format = std::move(view.sender_format);
-  return incoming;
+  return Incoming{{view.bytes.begin(), view.bytes.end()},
+                  std::move(view.sender_format)};
 }
 
 Result<MessageSession::IncomingView> MessageSession::receive_view(
@@ -1291,217 +1235,224 @@ Result<MessageSession::IncomingView> MessageSession::receive_view(
     return Status(ErrorCode::kResourceExhausted,
                   "session poisoned: peer exceeded the malformed-frame budget");
   if (closed_) return Status(ErrorCode::kIoError, "session closed");
-  Stopwatch budget;
+  double deadline = -1;  // on clock_, from when the socket first runs dry
+  const auto remaining = [&] {  // whole ms
+    const double now = clock_.elapsed_ms();
+    if (deadline < 0) deadline = now + timeout_ms;
+    return static_cast<int>(std::ceil(std::max(deadline - now, 0.0)));
+  };
   for (;;) {
     if (resumable_) install_pending_attach();
-    // Frames poll_control() parked while a send path drained the wire are
-    // consumed first, in arrival order.
-    bool have_frame = false;
-    if (!pending_frames_.empty()) {
-      recv_frame_ = std::move(pending_frames_.front());
-      pending_frames_.pop_front();
-      have_frame = true;
-    }
-    if (!have_frame && !channel_.is_open()) {
-      if (!resumable_)
-        return Status(ErrorCode::kIoError, "channel is closed");
-      const int remaining =
-          timeout_ms - static_cast<int>(budget.elapsed_ms());
-      XMIT_RETURN_IF_ERROR(await_transport(std::max(remaining, 0)));
+    if (!channel_.is_open()) {
+      if (!resumable_) return Status(ErrorCode::kIoError, "channel is closed");
+      XMIT_RETURN_IF_ERROR(await_transport(remaining()));
       continue;
     }
-    if (!have_frame) {
-      if (options_.flow_control) {
-        // A fresh receiver seeds the peer's credit before anything else
-        // can arrive — without this first grant a flow-controlled sender
-        // with no handshake in its life would starve forever.
-        if (credit_grants_sent_ == 0) maybe_grant(/*force=*/true);
-        (void)pump_send_queue();
-      }
-      int slice = std::max(
-          timeout_ms - static_cast<int>(budget.elapsed_ms()), 0);
-      if (resumable_ || options_.flow_control) {
-        // Wake often enough to heartbeat and to notice a blown liveness
-        // deadline even when the caller's budget is generous.
-        slice = std::min(slice, options_.heartbeat_interval_ms);
-        const double live_left =
-            options_.liveness_deadline_ms -
-            (clock_.elapsed_ms() - last_inbound_ms_);
-        slice = std::min(slice, std::max(static_cast<int>(live_left), 0));
-      }
-      Status got = options_.flow_control
-                       ? fc_receive_frame(recv_frame_, slice)
-                       : channel_.receive_into(recv_frame_, slice,
-                                               limits_.max_message_bytes);
-      if (!got.is_ok()) {
-        if (got.code() == ErrorCode::kTimeout) {
-          if ((resumable_ || options_.flow_control) &&
-              clock_.elapsed_ms() - last_inbound_ms_ >=
-                  options_.liveness_deadline_ms)
-            return Status(ErrorCode::kTimeout,
-                          "peer silent past the liveness deadline");
-          if (budget.elapsed_ms() >= timeout_ms) return got;
-          maybe_ping();
-          continue;
-        }
-        if (resumable_ && (got.code() == ErrorCode::kNotFound ||
-                           got.code() == ErrorCode::kIoError)) {
-          // Clean close and death mid-frame are both just a transport loss
-          // for a resumable session: reconnect/await and keep receiving.
-          note_transport_lost();
-          continue;
-        }
-        if (got.code() == ErrorCode::kResourceExhausted)
-          return note_malformed(got);  // length prefix over the size limit
-        return got;
-      }
-      last_inbound_ms_ = clock_.elapsed_ms();
-    }
-    if (recv_frame_.empty())
-      return note_malformed(
-          Status(ErrorCode::kParseError, "empty session frame"));
-    std::span<const std::uint8_t> payload(recv_frame_.data() + 1,
-                                          recv_frame_.size() - 1);
-    switch (recv_frame_[0]) {
-      case kTagFormat: {
-        auto format = pbio::deserialize_format(payload, limits_);
-        if (!format.is_ok()) {
-          // A truncated in-band announcement (peer died mid-write) must
-          // not poison the session — report and keep the stream usable.
-          return note_malformed(format.status());
-        }
-        XMIT_ASSIGN_OR_RETURN(auto adopted,
-                              registry_->adopt(std::move(format).value()));
-        // What the peer announced, we need not re-announce to them.
-        announced_.insert(adopted->id());
-        // A fresh, well-formed announcement vouches for the format again.
-        quarantined_.erase(adopted->id());
-        ++announcements_received_;
-        continue;
-      }
-      case kTagRecord: {
-        if (payload.size() < kSeqBytes)
-          return note_malformed(
-              Status(ErrorCode::kParseError,
-                     "record frame too short for its sequence number"));
-        const std::uint64_t seq = load_with_order<std::uint64_t>(
-            payload.data(), ByteOrder::kLittle);
-        const std::span<const std::uint8_t> record =
-            payload.subspan(kSeqBytes);
-        if (seq <= last_seq_received_) {
-          // An at-least-once replay we already delivered: drop silently.
-          ++duplicates_discarded_;
-          continue;
-        }
-        if (seq > last_seq_received_ + 1) {
-          const std::uint64_t lost = seq - last_seq_received_ - 1;
-          last_seq_received_ = seq;  // adopt: report each gap exactly once
-          return Status(ErrorCode::kDataLoss,
-                        std::to_string(lost) +
-                            " record(s) lost in a sequence gap the peer's "
-                            "replay buffer could not cover");
-        }
-        last_seq_received_ = seq;
-        // Quarantine check runs on the raw header, before the (costlier)
-        // structural inspection a hostile record would fail anyway.
-        auto header = pbio::parse_header(record);
-        if (header.is_ok() &&
-            quarantined_.contains(header.value().format_id)) {
-          return note_malformed(Status(
-              ErrorCode::kMalformedInput,
-              "record claims quarantined format id; re-announce to clear"));
-        }
-        auto info = decoder_->inspect(record);
-        if (!info.is_ok()) {
-          // Affirmatively hostile bytes (internal contradictions, blown
-          // budgets) poison trust in that format id until the peer
-          // re-announces it. Mere truncation — a peer dying mid-write, a
-          // lossy channel — does not: the next intact record must decode.
-          if (header.is_ok() &&
-              (info.code() == ErrorCode::kMalformedInput ||
-               info.code() == ErrorCode::kResourceExhausted)) {
-            quarantined_.insert(header.value().format_id);
-            drop_plan_pins_for(header.value().format_id);
-          }
-          return note_malformed(info.status());
-        }
-        ++records_received_;
-        maybe_grant(/*force=*/false);  // drained half a window? re-arm it
-        return IncomingView{record, std::move(info.value().sender_format)};
-      }
-      case kTagHandshake: {
-        Status st = process_handshake(payload);
-        if (st.is_ok()) continue;
-        // A disk that cannot persist the adopted identity is not the
-        // peer's fault.
-        if (st.code() == ErrorCode::kIoError) return st;
-        return note_malformed(st);
-      }
-      case kTagPing:
-      case kTagPong:
-      case kTagCredit: {
-        Status st = absorb_control(recv_frame_[0], payload);
-        if (!st.is_ok()) return note_malformed(st);
-        continue;
-      }
-      case kTagDurableRange: {
-        if (payload.size() != kDurableRangePayloadBytes)
-          return note_malformed(Status(ErrorCode::kParseError,
-                                       "bad durable-range frame length"));
-        const std::uint64_t first = load_with_order<std::uint64_t>(
-            payload.data(), ByteOrder::kLittle);
-        const std::uint64_t last = load_with_order<std::uint64_t>(
-            payload.data() + 8, ByteOrder::kLittle);
-        if (first == 0 || last < first)
-          return note_malformed(Status(
-              ErrorCode::kMalformedInput,
-              "durable-range advert [" + std::to_string(first) + ", " +
-                  std::to_string(last) + "] is not a valid range"));
-        peer_durable_first_ = first;
-        peer_durable_last_ = last;
-        continue;
-      }
-      case kTagReplayRequest: {
-        if (payload.size() != kSeqBytes)
-          return note_malformed(Status(ErrorCode::kParseError,
-                                       "bad replay-request frame length"));
-        const std::uint64_t from = load_with_order<std::uint64_t>(
-            payload.data(), ByteOrder::kLittle);
-        if (from == 0)
-          return note_malformed(Status(ErrorCode::kMalformedInput,
-                                       "replay request from sequence 0"));
-        // Only a durable sender can honor history; anyone else ignores
-        // the request (the requester learns nothing arrived and moves
-        // on) rather than guessing at records it no longer has.
-        if (!durable_ || log_ == nullptr || log_->empty()) continue;
-        // The requester may be a brand-new subscriber that never saw
-        // our format announcements: forget what *we* announced so the
-        // stream re-sends every schema ahead of its data. Re-announcing
-        // to a peer that already knows a format is an idempotent no-op
-        // on its side.
-        for (const auto& [fid, seq] : announce_seq_) announced_.erase(fid);
-        replay_from_ =
-            std::min(replay_from_, std::max(from, log_->first_seq()));
-        // Under flow control the requester's credit paces the replay; a
-        // failed write is left to the next read.
-        (void)pump_send_queue();
-        continue;
-      }
-      case kTagShed: {
-        Status st = process_shed(payload);
-        if (st.is_ok()) {
-          // The dedup window jumped; the drained count may owe a grant.
-          maybe_grant(/*force=*/false);
-          continue;
-        }
-        if (st.code() == ErrorCode::kDataLoss) return st;
-        return note_malformed(st);
-      }
-      default:
+    // A fresh receiver seeds the peer's credit before anything else can
+    // arrive — without this first grant a flow-controlled sender with no
+    // handshake in its life would starve forever.
+    if (options_.flow_control && credit_grants_sent_ == 0)
+      maybe_grant(/*force=*/true);
+    std::span<const std::uint8_t> frame;
+    Status failed;
+    if (channel_.next_frame(frame, failed, limits_.max_message_bytes)) {
+      last_inbound_ms_ = coarse_now_ms();
+      if (frame.empty())
         return note_malformed(
-            Status(ErrorCode::kParseError, "unknown session frame tag " +
-                                               std::to_string(recv_frame_[0])));
+            Status(ErrorCode::kParseError, "empty session frame"));
+      std::optional<IncomingView> delivered;
+      XMIT_RETURN_IF_ERROR(on_frame(frame[0], frame.subspan(1), delivered));
+      if (delivered) return *std::move(delivered);
+      continue;
     }
+    if (!failed.is_ok()) {
+      if (resumable_ && (failed.code() == ErrorCode::kNotFound ||
+                         failed.code() == ErrorCode::kIoError)) {
+        // Clean close and death mid-frame are both just a transport loss
+        // for a resumable session: reconnect/await and keep receiving.
+        note_transport_lost();
+        continue;
+      }
+      if (failed.code() == ErrorCode::kResourceExhausted)
+        return note_malformed(failed);  // length prefix over the size limit
+      return failed;
+    }
+    // The socket is dry: keep our own queue moving, then wait for it. A
+    // session that keeps frames wakes to heartbeat and to notice a blown
+    // liveness deadline even when the caller's budget is generous.
+    (void)pump_send_queue();
+    if (!channel_.is_open()) continue;
+    int wait = remaining();
+    if (keeps_frames())
+      wait = std::min({wait, options_.heartbeat_interval_ms,
+                       static_cast<int>(options_.liveness_deadline_ms -
+                                        (coarse_now_ms() - last_inbound_ms_))});
+    if (channel_.poll_readable(std::max(wait, 0))) continue;
+    if (keeps_frames() && liveness_stale())
+      return Status(ErrorCode::kTimeout,
+                    "peer silent past the liveness deadline");
+    if (remaining() <= 0)  // a short message: idle pulls allocate nothing
+      return Status(ErrorCode::kTimeout, "receive timeout");
+    maybe_ping();
+  }
+}
+
+Status MessageSession::on_frame(std::uint8_t tag,
+                                std::span<const std::uint8_t> payload,
+                                std::optional<IncomingView>& delivered) {
+  switch (tag) {
+    case kTagFormat: {
+      auto format = pbio::deserialize_format(payload, limits_);
+      if (!format.is_ok()) {
+        // A truncated in-band announcement (peer died mid-write) must
+        // not poison the session — report and keep the stream usable.
+        return note_malformed(format.status());
+      }
+      XMIT_ASSIGN_OR_RETURN(auto adopted,
+                            registry_->adopt(std::move(format).value()));
+      // What the peer announced, we need not re-announce to them.
+      announced_.insert(adopted->id());
+      // A fresh, well-formed announcement vouches for the format again.
+      quarantined_.erase(adopted->id());
+      ++announcements_received_;
+      return Status::ok();
+    }
+    case kTagRecord: {
+      if (payload.size() < kSeqBytes)
+        return note_malformed(
+            Status(ErrorCode::kParseError,
+                   "record frame too short for its sequence number"));
+      const std::uint64_t seq = load_with_order<std::uint64_t>(
+          payload.data(), ByteOrder::kLittle);
+      const std::span<const std::uint8_t> record =
+          payload.subspan(kSeqBytes);
+      if (seq <= last_seq_received_) {
+        // An at-least-once replay we already delivered: drop silently.
+        ++duplicates_discarded_;
+        return Status::ok();
+      }
+      if (seq > last_seq_received_ + 1) {
+        const std::uint64_t lost = seq - last_seq_received_ - 1;
+        last_seq_received_ = seq;  // adopt: report each gap exactly once
+        return Status(ErrorCode::kDataLoss,
+                      std::to_string(lost) +
+                          " record(s) lost in a sequence gap the peer's "
+                          "replay buffer could not cover");
+      }
+      last_seq_received_ = seq;
+      // Quarantine check runs on the raw header, before the (costlier)
+      // structural inspection a hostile record would fail anyway.
+      auto header = pbio::parse_header(record);
+      if (header.is_ok() &&
+          quarantined_.contains(header.value().format_id)) {
+        return note_malformed(Status(
+            ErrorCode::kMalformedInput,
+            "record claims quarantined format id; re-announce to clear"));
+      }
+      auto info = decoder_->inspect(record);
+      if (!info.is_ok()) {
+        // Affirmatively hostile bytes (internal contradictions, blown
+        // budgets) poison trust in that format id until the peer
+        // re-announces it. Mere truncation — a peer dying mid-write, a
+        // lossy channel — does not: the next intact record must decode.
+        if (header.is_ok() &&
+            (info.code() == ErrorCode::kMalformedInput ||
+             info.code() == ErrorCode::kResourceExhausted)) {
+          quarantined_.insert(header.value().format_id);
+          drop_plan_pins_for(header.value().format_id);
+        }
+        return note_malformed(info.status());
+      }
+      // The record outlives the read buffer: a send may sweep it.
+      recv_frame_.assign(record.begin(), record.end());
+      delivered.emplace(
+          IncomingView{recv_frame_, std::move(info.value().sender_format)});
+      ++records_received_;
+      maybe_grant(/*force=*/false);  // drained half a window? re-arm it
+      return Status::ok();
+    }
+    case kTagHandshake: {
+      Status st = process_handshake(payload);
+      if (st.is_ok()) return Status::ok();
+      // A disk that cannot persist the adopted identity is not the
+      // peer's fault.
+      if (st.code() == ErrorCode::kIoError) return st;
+      return note_malformed(st);
+    }
+    case kTagPing:
+    case kTagPong: {
+      if (payload.size() != kSeqBytes)
+        return note_malformed(
+            Status(ErrorCode::kParseError, "bad ping/pong frame length"));
+      Status st = absorb_ack(
+          load_with_order<std::uint64_t>(payload.data(), ByteOrder::kLittle));
+      if (!st.is_ok()) return note_malformed(st);
+      if (tag == kTagPing) send_ack_frame(kTagPong);
+      return Status::ok();
+    }
+    case kTagCredit: {
+      Status st = process_credit(payload);
+      if (!st.is_ok()) return note_malformed(st);
+      (void)pump_send_queue();  // fresh credit may unblock queued data now
+      return Status::ok();
+    }
+    case kTagDurableRange: {
+      if (payload.size() != kDurableRangePayloadBytes)
+        return note_malformed(Status(ErrorCode::kParseError,
+                                     "bad durable-range frame length"));
+      const std::uint64_t first = load_with_order<std::uint64_t>(
+          payload.data(), ByteOrder::kLittle);
+      const std::uint64_t last = load_with_order<std::uint64_t>(
+          payload.data() + 8, ByteOrder::kLittle);
+      if (first == 0 || last < first)
+        return note_malformed(Status(
+            ErrorCode::kMalformedInput,
+            "durable-range advert [" + std::to_string(first) + ", " +
+                std::to_string(last) + "] is not a valid range"));
+      peer_durable_first_ = first;
+      peer_durable_last_ = last;
+      return Status::ok();
+    }
+    case kTagReplayRequest: {
+      if (payload.size() != kSeqBytes)
+        return note_malformed(Status(ErrorCode::kParseError,
+                                     "bad replay-request frame length"));
+      const std::uint64_t from = load_with_order<std::uint64_t>(
+          payload.data(), ByteOrder::kLittle);
+      if (from == 0)
+        return note_malformed(Status(ErrorCode::kMalformedInput,
+                                     "replay request from sequence 0"));
+      // Only a durable sender can honor history; anyone else ignores
+      // the request (the requester learns nothing arrived and moves
+      // on) rather than guessing at records it no longer has.
+      if (!durable_ || log_ == nullptr || log_->empty()) return Status::ok();
+      // The requester may be a brand-new subscriber that never saw
+      // our format announcements: forget what *we* announced so the
+      // stream re-sends every schema ahead of its data. Re-announcing
+      // to a peer that already knows a format is an idempotent no-op
+      // on its side.
+      for (const auto& [fid, seq] : announce_seq_) announced_.erase(fid);
+      replay_from_ =
+          std::min(replay_from_, std::max(from, log_->first_seq()));
+      // Under flow control the requester's credit paces the replay; a
+      // failed write is left to the next read.
+      (void)pump_send_queue();
+      return Status::ok();
+    }
+    case kTagShed: {
+      Status st = process_shed(payload);
+      if (st.is_ok()) {
+        // The dedup window jumped; the drained count may owe a grant.
+        maybe_grant(/*force=*/false);
+        return Status::ok();
+      }
+      if (st.code() == ErrorCode::kDataLoss) return st;
+      return note_malformed(st);
+    }
+    default:
+      return note_malformed(Status(
+          ErrorCode::kParseError,
+          "unknown session frame tag " + std::to_string(tag)));
   }
 }
 
@@ -1543,21 +1494,17 @@ Result<std::size_t> MessageSession::receive_batch(const pbio::Format& receiver,
 
   // The first record is worth the caller's whole budget; everything after
   // it is pure drain — take only what the transport already holds.
-  XMIT_ASSIGN_OR_RETURN(auto first, receive_view(timeout_ms));
-  pin_batch_plan(first.sender_format, receiver);
-  batch_records_[0].assign(first.bytes.begin(), first.bytes.end());
-  batch_spans_.emplace_back(batch_records_[0].data(),
-                            batch_records_[0].size());
   while (batch_spans_.size() < max_records) {
-    auto more = receive_view(0);
+    auto more = receive_view(batch_spans_.empty() ? timeout_ms : 0);
     if (!more.is_ok()) {
       const ErrorCode code = more.status().code();
       // Drain exhausted (or the peer went away mid-drain): decode what we
       // have; a close/liveness condition resurfaces on the next call.
-      if (code == ErrorCode::kTimeout || code == ErrorCode::kNotFound ||
-          code == ErrorCode::kIoError)
-        break;
-      return more.status();
+      if (batch_spans_.empty() ||
+          (code != ErrorCode::kTimeout && code != ErrorCode::kNotFound &&
+           code != ErrorCode::kIoError))
+        return more.status();
+      break;
     }
     pin_batch_plan(more.value().sender_format, receiver);
     std::vector<std::uint8_t>& slot = batch_records_[batch_spans_.size()];

@@ -470,11 +470,11 @@ TEST(Channel, TimeoutMidFrameKeepsPartialFrame) {
     SCOPED_TRACE(split);
     std::span<const std::uint8_t> bytes(wire);
     ASSERT_TRUE(a.send_raw(bytes.first(split)).is_ok());
-    std::vector<std::uint8_t> out;
-    EXPECT_EQ(b.receive_into(out, 20).code(), ErrorCode::kTimeout);
+    EXPECT_EQ(b.receive(20).code(), ErrorCode::kTimeout);
     ASSERT_TRUE(a.send_raw(bytes.subspan(split)).is_ok());
-    ASSERT_TRUE(b.receive_into(out, 500).is_ok());
-    EXPECT_EQ(out, message);
+    auto out = b.receive(500);
+    ASSERT_TRUE(out.is_ok());
+    EXPECT_EQ(out.value(), message);
   }
 }
 
@@ -484,14 +484,15 @@ TEST(Channel, ReadAheadFramesStayReadable) {
   auto [a, b] = Channel::pipe().value();
   for (std::uint8_t i = 0; i < 3; ++i)
     ASSERT_TRUE(a.send(std::vector<std::uint8_t>(5, i)).is_ok());
-  std::vector<std::uint8_t> out;
+  std::span<const std::uint8_t> out;
   Status error;
   ASSERT_TRUE(b.next_frame(out, error));
   EXPECT_EQ(b.bytes_received(), 27u);  // all three frames in one recv
   for (std::uint8_t i = 1; i < 3; ++i) {
     EXPECT_TRUE(b.poll_readable(0));
     ASSERT_TRUE(b.next_frame(out, error));
-    EXPECT_EQ(out, std::vector<std::uint8_t>(5, i));
+    EXPECT_EQ(std::vector(out.begin(), out.end()),
+              std::vector<std::uint8_t>(5, i));
   }
   EXPECT_FALSE(b.poll_readable(0));
   EXPECT_FALSE(b.next_frame(out, error));
@@ -506,17 +507,85 @@ TEST(Channel, OversizedLengthPrefixIsRefusedAndSkipped) {
   const std::vector<std::uint8_t> small = {1, 2, 3};
   ASSERT_TRUE(a.send(big).is_ok());
   ASSERT_TRUE(a.send(small).is_ok());
-  std::vector<std::uint8_t> out;
-  EXPECT_EQ(b.receive_into(out, 500, 64).code(),
-            ErrorCode::kResourceExhausted);
-  ASSERT_TRUE(b.receive_into(out, 500, 64).is_ok());
-  EXPECT_EQ(out, small);
+  std::span<const std::uint8_t> out;
+  Status error;
+  EXPECT_FALSE(b.next_frame(out, error, 64));
+  EXPECT_EQ(error.code(), ErrorCode::kResourceExhausted);
+  error = Status::ok();
+  ASSERT_TRUE(b.next_frame(out, error, 64));
+  EXPECT_EQ(std::vector(out.begin(), out.end()), small);
 
   // A 4 GiB claim costs nothing either.
   const std::uint8_t hostile[] = {0xFF, 0xFF, 0xFF, 0xFF, 0x00};
   ASSERT_TRUE(a.send_raw(hostile).is_ok());
-  EXPECT_EQ(b.receive_into(out, 500).code(), ErrorCode::kResourceExhausted);
-  EXPECT_EQ(b.receive_into(out, 20).code(), ErrorCode::kTimeout);
+  EXPECT_EQ(b.receive(500).code(), ErrorCode::kResourceExhausted);
+  EXPECT_EQ(b.receive(20).code(), ErrorCode::kTimeout);
+}
+
+// The sweep offers each frame once, in order; it cuts out the ones taken
+// and leaves the rest, in order, for next_frame. It reads no further once
+// it holds its bound, and leaves the end of the stream for next_frame to
+// report after the frames ahead of it.
+TEST(Channel, SweepTakesSomeFramesAndLeavesTheRestInOrder) {
+  auto [a, b] = Channel::pipe().value();
+  const auto frame_of = [](std::uint8_t id, std::size_t size) {
+    return std::vector<std::uint8_t>(size, id);
+  };
+  for (std::uint8_t id = 1; id <= 4; ++id)
+    ASSERT_TRUE(a.send(frame_of(id, 5)).is_ok());
+  std::vector<std::uint8_t> offered;
+  const auto take_even = [&](std::span<const std::uint8_t> frame) {
+    offered.push_back(frame[0]);
+    return frame[0] % 2 == 0;
+  };
+  EXPECT_TRUE(b.sweep(1 << 20, take_even));
+  EXPECT_EQ(offered, (std::vector<std::uint8_t>{1, 2, 3, 4}));
+  EXPECT_FALSE(b.poll_readable(0)) << "frames left in place were offered";
+
+  ASSERT_TRUE(a.send(frame_of(5, 5)).is_ok());
+  offered.clear();
+  EXPECT_TRUE(b.sweep(1 << 20, take_even));
+  EXPECT_EQ(offered, (std::vector<std::uint8_t>{5})) << "each offered once";
+
+  // A frame over next_frame's limit, left by the sweep, is refused in turn.
+  ASSERT_TRUE(a.send(frame_of(7, 300)).is_ok());
+  ASSERT_TRUE(a.send(frame_of(9, 5)).is_ok());
+  EXPECT_TRUE(b.sweep(1 << 20, take_even));
+  std::span<const std::uint8_t> frame;
+  Status error;
+  for (const std::uint8_t id : {1, 3, 5}) {
+    ASSERT_TRUE(b.next_frame(frame, error, 64));
+    EXPECT_EQ(std::vector(frame.begin(), frame.end()), frame_of(id, 5));
+  }
+  EXPECT_FALSE(b.next_frame(frame, error, 64));
+  EXPECT_EQ(error.code(), ErrorCode::kResourceExhausted);
+  error = Status::ok();
+  ASSERT_TRUE(b.next_frame(frame, error, 64));
+  EXPECT_EQ(std::vector(frame.begin(), frame.end()), frame_of(9, 5));
+
+  // The bound is on the bytes held (a frame taken frees its room): frames
+  // past it stay in the socket.
+  for (std::uint8_t id = 11; id <= 20; ++id)
+    ASSERT_TRUE(a.send(frame_of(id, 100)).is_ok());
+  const std::size_t before = b.bytes_received();
+  offered.clear();
+  EXPECT_TRUE(b.sweep(250, take_even));
+  EXPECT_EQ(offered, (std::vector<std::uint8_t>{11, 12, 13}));
+  EXPECT_EQ(b.bytes_received() - before, 250u + 104u);
+  for (std::uint8_t id = 11; id <= 20; ++id) {
+    if (id == 12) continue;  // taken
+    ASSERT_TRUE(b.next_frame(frame, error)) << int{id};
+    EXPECT_EQ(frame[0], id);
+  }
+
+  // The end of the stream comes after the frames ahead of it.
+  ASSERT_TRUE(a.send(frame_of(21, 5)).is_ok());
+  a.close();
+  EXPECT_FALSE(b.sweep(1 << 20, take_even));
+  ASSERT_TRUE(b.next_frame(frame, error));
+  EXPECT_EQ(frame[0], 21);
+  EXPECT_FALSE(b.next_frame(frame, error));
+  EXPECT_EQ(error.code(), ErrorCode::kNotFound);
 }
 
 // Frames larger than the initial buffer grow it; frames split at every
@@ -541,10 +610,10 @@ TEST(Channel, BufferGrowsAndCompactsAcrossSplits) {
       at += n;
     }
   });
-  std::vector<std::uint8_t> out;
   for (const auto& m : messages) {
-    ASSERT_TRUE(b.receive_into(out, 5000).is_ok());
-    EXPECT_EQ(out, m);
+    auto out = b.receive(5000);
+    ASSERT_TRUE(out.is_ok());
+    EXPECT_EQ(out.value(), m);
   }
   writer.join();
   EXPECT_EQ(b.bytes_received(), stream.size());

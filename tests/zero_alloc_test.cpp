@@ -228,6 +228,96 @@ TEST(ZeroAlloc, DurableFlowControlledSendAllocatesNothing) {
   }
 }
 
+// Grants behind data, in steady state: through a window of 4 records
+// each end sends while the other's records sit unread in its socket, so
+// a send short of credit reads past them to the grants behind. Those
+// records stay where the channel read them until they are received:
+// nothing is copied aside, so the sends touch the heap zero times. (The
+// receives are not counted: each grant they send is queued as a vector
+// of its own.)
+TEST(ZeroAlloc, GrantBehindPeerDataAllocatesNothing) {
+  FormatRegistry reg_a;
+  FormatRegistry reg_b;
+  session::SessionOptions options;
+  options.flow_control = true;
+  options.receive_window_records = 4;
+  options.heartbeat_interval_ms = 60000;
+  options.liveness_deadline_ms = 60000;
+  auto pair = make_session_pipe(reg_a, reg_b, options).value();
+  auto format_a =
+      reg_a.register_format("Flat", flat_fields(), sizeof(Flat)).value();
+  auto format_b =
+      reg_b.register_format("Flat", flat_fields(), sizeof(Flat)).value();
+  auto encoder_a = Encoder::make(format_a).value();
+  auto encoder_b = Encoder::make(format_b).value();
+  pbio::Decoder decoder_a(reg_a);
+  pbio::Decoder decoder_b(reg_b);
+  Arena arena;
+  Flat to_b{0, 0.5f, 0, 0};
+  Flat to_a{0, 0.5f, 0, 0};
+  std::int32_t b_expects = 1;
+  std::int32_t a_expects = 1;
+  std::size_t swept = 0;  // rounds whose sends read past the peer's data
+  bool measuring = false;
+  std::uint64_t send_allocs = 0;
+  const auto send = [&](MessageSession& end, const Encoder& encoder,
+                        Flat& record) {
+    record.a += 1;
+    g_allocations.store(0);
+    g_counting.store(measuring);
+    const bool sent = end.send(encoder, &record).is_ok();
+    g_counting.store(false);
+    send_allocs += g_allocations.load();
+    return sent;
+  };
+
+  const auto receive = [&](MessageSession& end, pbio::Decoder& decoder,
+                           const pbio::FormatPtr& receiver,
+                           std::int32_t& expects) {
+    auto incoming = end.receive_view(1000);
+    if (!incoming.is_ok()) return false;
+    Flat out{};
+    arena.rewind();
+    return decoder.decode(incoming.value().bytes, *receiver, &out, arena)
+               .is_ok() &&
+           out.a == expects++;
+  };
+  const auto send_four = [&] {
+    bool ok = true;
+    for (int i = 0; i < 4; ++i) ok = send(pair.a, encoder_a, to_b) && ok;
+    return ok;
+  };
+  // b's records land in a's socket, then b drains a's records, so its
+  // grants land behind that data; a's next sends must reach them.
+  const auto round = [&] {
+    bool ok = true;
+    for (int i = 0; i < 3; ++i) ok = send(pair.b, encoder_b, to_a) && ok;
+    for (int i = 0; i < 4; ++i)
+      ok = receive(pair.b, decoder_b, format_b, b_expects) && ok;
+    const std::size_t read_before = pair.a.channel().bytes_received();
+    ok = send_four() && ok;
+    swept += pair.a.channel().bytes_received() > read_before ? 1 : 0;
+    for (int i = 0; i < 3; ++i)
+      ok = receive(pair.a, decoder_a, format_a, a_expects) && ok;
+    return ok;
+  };
+
+  for (MessageSession* end : {&pair.a, &pair.b})
+    ASSERT_EQ(end->receive_view(0).code(), ErrorCode::kTimeout);
+  ASSERT_TRUE(send_four());
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(round()) << "warmup " << i;
+
+  measuring = true;
+  bool all_ok = true;
+  for (int i = 0; i < 50; ++i) all_ok = round() && all_ok;
+  measuring = false;
+
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(swept, 70u) << "every round's sends read past the peer's data";
+  EXPECT_EQ(send_allocs, 0u)
+      << "a send reading past the peer's data touched the heap";
+}
+
 // Var-bearing record: payload slices ship from caller memory, the decode
 // arena is rewound (capacity retained) between records.
 struct WithArray {
