@@ -2,8 +2,9 @@
 # run_chaos.sh: build and run the chaos-labelled tests (the deterministic
 # per-byte kill matrix, TCP kill/RST injection, and the liveness personas)
 # and the transport-labelled tests (the channel's buffered framer: read-
-# ahead, compaction, growth, split frames, and the cost ledger's exact
-# counts) under both AddressSanitizer and ThreadSanitizer.
+# ahead, compaction, growth, split frames, the sweep, the cost ledger's
+# exact counts and the zero-allocation cases) under both AddressSanitizer
+# and ThreadSanitizer.
 #
 # Usage:
 #   tools/run_chaos.sh [BUILD_ROOT]
@@ -22,9 +23,9 @@ for SAN in address thread; do
   echo "== chaos [$SAN]: configuring $BUILD_DIR"
   cmake -B "$BUILD_DIR" -S "$REPO_DIR" -DXMIT_SANITIZE="$SAN" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  echo "== chaos [$SAN]: building session_chaos_test net_test session_test cost_ledger_test"
+  echo "== chaos [$SAN]: building session_chaos_test net_test session_test cost_ledger_test zero_alloc_test"
   cmake --build "$BUILD_DIR" --target session_chaos_test net_test \
-    session_test cost_ledger_test -j >/dev/null
+    session_test cost_ledger_test zero_alloc_test -j >/dev/null
   echo "== chaos [$SAN]: ctest -L chaos"
   (cd "$BUILD_DIR" && ctest -L chaos --output-on-failure -j)
   echo "== chaos [$SAN]: ctest -L transport"
